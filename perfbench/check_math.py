@@ -21,6 +21,7 @@ if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core import simulator
+from repro.core.auto import AutoRandomizedLearner as AutoLearner
 from repro.core.instance import OnlineMinLAInstance
 from repro.core.rand_cliques import RandomizedCliqueLearner
 from repro.obs.clock import Clock, ManualClock, set_clock
@@ -167,10 +168,19 @@ class StepProbeTest(_ClockTest):
         probe = OnlineProbe()
         with patched(probe.patches()):
             simulator.run_online(RandomizedCliqueLearner(), instance)
-        # Reads: run start, one per process() entry, run end.  The head
-        # piece runs from the start to the first step.
+        # Reads: one per process() entry, one at the end of the run.
         self.assertEqual(probe.step_seconds, [1.0] * instance.num_steps)
-        self.assertEqual(probe.pieces, [1.0] * (instance.num_steps + 1))
+        self.assertNotIn("process", vars(RandomizedCliqueLearner))
+
+    def test_a_learner_that_overrides_process_is_timed_too(self) -> None:
+        (sequence,) = get_scenario("uniform-lines").reveal_sequences(6, 3)
+        instance = OnlineMinLAInstance.with_random_start(sequence, random.Random(4))
+        learner = AutoLearner()
+        probe = OnlineProbe()
+        with patched(probe.patches()):
+            simulator.run_online(learner, instance, rng=random.Random(5))
+        self.assertEqual(probe.step_seconds, [1.0] * instance.num_steps)
+        self.assertNotIn("process", vars(learner))
 
 
 class NearestRankTest(unittest.TestCase):

@@ -41,10 +41,6 @@ class Repeat:
     """Costs the job produced; must be identical on every repeat."""
     work: Dict[str, int]
     """Work-counter delta of the job (deterministic)."""
-    parts: List[float] = field(default_factory=list)
-    """Durations of the job's pieces, in the same order on every repeat;
-    together they cover the job, and ``wall_s`` sums each piece's fastest
-    repeat."""
     latencies_s: List[float] = field(default_factory=list)
     problems: List[str] = field(default_factory=list)
     solver: Optional[SolverCounts] = None
@@ -91,48 +87,44 @@ def traced_layers(tracer: Tracer, solver: SolverCounts) -> List[Patch]:
 
 
 class OnlineProbe:
-    """Per-run and per-step timing of ``run_online``, cheap enough to leave on.
+    """Per-step timing of ``run_online``, cheap enough to leave on.
 
     One clock read per reveal step, at the entry of the learner's
-    ``process``.  A step's latency runs from its entry to the next step's
-    entry (or to the end of the run), so it covers the learner's update, the
-    simulator's verification and the loop around them: the time one reveal
-    request takes to be answered and checked.
+    ``process``, and one at the end of the run.  A step's latency runs from
+    its entry to the next step's entry (or to the end of the run), so it
+    covers the learner's update, the simulator's verification and the loop
+    around them: the time one reveal request takes to be answered and
+    checked.
 
-    ``pieces`` cuts every run into its head (start of the run to the first
-    step) and its steps, so the pieces of a run add up to its duration.
+    The probe wraps ``process`` on the learner object each run is given, so
+    a learner class that overrides ``process`` is timed the same way.
     """
 
-    def __init__(self, before_run: Optional[Callable[[], None]] = None) -> None:
+    def __init__(self) -> None:
         self.step_seconds: List[float] = []
-        self.pieces: List[float] = []
-        self._before_run = before_run
 
     def patches(self) -> List[Patch]:
-        entries: List[float] = []
         read = clock.now
-        process = vars(OnlineMinLAAlgorithm)["process"]
         run_online = vars(simulator)["run_online"]
+        step_seconds = self.step_seconds
 
-        def process_probe(algorithm, step):
+        def run_probe(algorithm, *args, **kwargs):
+            entries: List[float] = []
+            process = algorithm.process
+
+            def process_probe(step):
+                entries.append(read())
+                return process(step)
+
+            algorithm.process = process_probe
+            try:
+                result = run_online(algorithm, *args, **kwargs)
+            finally:
+                del algorithm.process
             entries.append(read())
-            return process(algorithm, step)
-
-        def run_probe(*args, **kwargs):
-            if self._before_run is not None:
-                self._before_run()
-            entries.clear()
-            start = read()
-            entries.append(start)
-            result = run_online(*args, **kwargs)
-            end = read()
-            entries.append(end)
-            pieces = [later - earlier for earlier, later in zip(entries, entries[1:])]
-            self.pieces.extend(pieces)
-            self.step_seconds.extend(pieces[1:])
+            step_seconds.extend(
+                later - earlier for earlier, later in zip(entries, entries[1:])
+            )
             return result
 
-        return [
-            (OnlineMinLAAlgorithm, "process", process_probe),
-            (simulator, "run_online", run_probe),
-        ]
+        return [(simulator, "run_online", run_probe)]

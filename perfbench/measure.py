@@ -11,14 +11,7 @@ from typing import Dict, List, Tuple
 from repro.obs.clock import now
 
 from layers import Repeat
-from tracer import (
-    Tracer,
-    layer_totals,
-    median,
-    nearest_rank,
-    pin_to_quietest_cpu,
-    release_cpus,
-)
+from tracer import Tracer, layer_totals, median, nearest_rank
 
 #: Set-ups per run; ``setup_s`` is their median.  A cheap set-up repeats
 #: until it has used ``SETUP_MIN_SECONDS`` (at most ``SETUP_MAX_REPEATS``).
@@ -27,7 +20,7 @@ SETUP_MIN_SECONDS = 1.0
 SETUP_MAX_REPEATS = 100
 
 #: Minimum repeats of each kind (untraced, and traced in a traced run).
-MIN_REPEATS = 2
+MIN_REPEATS = 3
 
 Metric = Tuple[float, str]
 
@@ -43,15 +36,19 @@ class Outcome:
     notes: List[str] = field(default_factory=list)
 
 
-def best_of(rows: List[List[float]]) -> List[float]:
-    """Elementwise minimum of equally long sample lists, one list per repeat."""
-    if len({len(row) for row in rows}) != 1:
-        raise ValueError("repeats produced different numbers of samples")
-    return [min(column) for column in zip(*rows)]
-
-
 def _ms(seconds: List[float], q: float) -> float:
     return nearest_rank(seconds, q) * 1e3
+
+
+def latency_ms(repeats: List[Repeat], q: float, problems: List[str]) -> float:
+    """The lowest over repeats of each repeat's ``q`` latency percentile."""
+    values = []
+    for index, repeat in enumerate(repeats):
+        try:
+            values.append(_ms(repeat.latencies_s, q))
+        except ValueError as error:
+            problems.append(f"repeat {index}: no latency p{q * 100:g}: {error}")
+    return min(values) if values else 0.0
 
 
 def measure(workload, seconds: float, trace: bool) -> Outcome:
@@ -62,12 +59,9 @@ def measure(workload, seconds: float, trace: bool) -> Outcome:
         sum(setup_samples) < SETUP_MIN_SECONDS
         and len(setup_samples) < SETUP_MAX_REPEATS
     ):
-        pin_to_quietest_cpu()
         started = now()
         workload.setup(None)
         setup_samples.append(now() - started)
-    # Serving workers need every CPU (and forked ones inherit affinity).
-    release_cpus()
     setup_spans: list = []
     if trace:
         mark = tracer.mark()
@@ -81,8 +75,6 @@ def measure(workload, seconds: float, trace: bool) -> Outcome:
     traced: List[Tuple[Repeat, list]] = []
     started = now()
     while True:
-        if workload.single_threaded:
-            pin_to_quietest_cpu()
         if trace and len(traced) < len(untraced):
             mark = tracer.mark()
             repeat = workload.repeat(tracer)
@@ -110,31 +102,24 @@ def measure(workload, seconds: float, trace: bool) -> Outcome:
 
     build_samples = getattr(workload, "build_samples", [])
     setup_s = median(setup_samples) + (median(build_samples) if build_samples else 0.0)
-    # Every repeat runs the same deterministic pieces, so each piece's
-    # fastest repeat is its cost with the least interference from the rest
-    # of the host.
-    wall_s = sum(best_of([repeat.parts for repeat in untraced]))
-    if workload.requests_repeat_exactly:
-        # Each request at its fastest repeat, like the pieces of wall_s.
-        fastest = best_of([repeat.latencies_s for repeat in untraced])
-        p50, p90 = _ms(fastest, 0.5), _ms(fastest, 0.9)
-        latency_samples = len(fastest)
-    else:
-        # Percentiles of each repeat; the calmest repeat is reported.
-        p50 = min(_ms(repeat.latencies_s, 0.5) for repeat in untraced)
-        p90 = min(_ms(repeat.latencies_s, 0.9) for repeat in untraced)
-        latency_samples = sum(len(repeat.latencies_s) for repeat in untraced)
+    # A shared 2-vCPU cloud host was seen switching, every ten seconds to
+    # minutes, between speeds up to 2x apart.  On the same runs the fastest
+    # repeat spread a half to two thirds as much across seeds as the median
+    # repeat (CHANGES.md), so every job time here is the fastest repeat.
+    wall_s = min(repeat.wall_s for repeat in untraced)
     metrics: Dict[str, Metric] = {
         "setup_s": (setup_s, "s"),
         "wall_s": (wall_s, "s"),
         "req_per_s": (untraced[0].units / wall_s, "1/s"),
-        "latency_p50_ms": (p50, "ms"),
-        "latency_p90_ms": (p90, "ms"),
+        "latency_p50_ms": (latency_ms(untraced, 0.5, problems), "ms"),
+        "latency_p90_ms": (latency_ms(untraced, 0.9, problems), "ms"),
     }
+    samples = [len(repeat.latencies_s) for repeat in untraced]
     notes = [
         f"workload {workload.name}: {len(untraced)} untraced and {len(traced)} "
         f"traced repeats, {len(setup_samples)} set-ups, "
-        f"{latency_samples} latency samples",
+        f"{min(samples)}-{max(samples)} latency samples per repeat",
+        "repeat wall_s " + json.dumps([round(repeat.wall_s, 4) for repeat in untraced]),
         f"work {json.dumps(untraced[0].work, sort_keys=True)}",
         # Equal digests mean equal work counts and equal served costs.
         "digest "
@@ -172,10 +157,9 @@ def _layer_metrics(workload, untraced, traced, setup_spans) -> Dict[str, Metric]
       untraced fixed-rate phases: ``ServeResult.queue_seconds``,
       ``worker_stats()``, parent completion minus (submit stamp plus the
       worker's ``latency_seconds``), and send time minus due time.
-    * ``trace.overhead`` is the traced job time over the untraced job's
-      timed pieces, both as medians over repeats;
-      ``trace.coverage`` is the spans' summed self time over the traced
-      job's wall time (above 1 when worker threads overlap).
+    * ``trace.overhead`` is the fastest traced job time over the fastest
+      untraced job time; ``trace.coverage`` is the spans' summed self time
+      over the traced job's wall time (above 1 when worker threads overlap).
     """
     ordered = sorted(traced, key=lambda pair: pair[0].wall_s)
     repeat, job_spans = ordered[(len(ordered) - 1) // 2]
@@ -205,9 +189,8 @@ def _layer_metrics(workload, untraced, traced, setup_spans) -> Dict[str, Metric]
         return median(values) if values else 0.0
 
     is_process = workload.name == "serve-process"
-    # Untraced pieces leave out the CPU pinning done between them.
-    untraced_wall = median([sum(run.parts) for run in untraced])
-    traced_wall = median([run.wall_s for run, _ in traced])
+    untraced_wall = min(run.wall_s for run in untraced)
+    traced_wall = min(run.wall_s for run, _ in traced)
     return {
         "minla.closest.calls": (calls("minla.closest"), "count"),
         "minla.closest.self_s": (self_s("minla.closest"), "s"),

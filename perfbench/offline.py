@@ -11,10 +11,9 @@ line of 512 nodes, 10 trials each, through ``run_trials(jobs=1)`` with the
 verifier on.  Every request is a migration and the subset DP is never
 reached; OPT for the ratio check is computed during set-up.
 
-Both jobs are kept short (one to two seconds) so that a run repeats them
-often: the reported times take each piece at its fastest repeat (see
-``measure.py``), and more repeats give more chances to see a piece run
-undisturbed by the other tenants of the host."""
+Both jobs are kept short (one to three seconds) so that a run repeats them
+often: the reported time is the fastest repeat (see ``measure.py``), and
+more repeats give it more chances to fall in a quiet spell of the host."""
 
 from __future__ import annotations
 
@@ -38,7 +37,7 @@ from repro.obs.profile import work_delta, work_snapshot
 from repro.workloads.registry import get_scenario
 
 from layers import OnlineProbe, Repeat, SolverCounts, traced_layers
-from tracer import Tracer, maybe_span, patched, pin_to_quietest_cpu
+from tracer import Tracer, maybe_span, patched
 
 DET_SCENARIOS = (
     "uniform-cliques",
@@ -60,14 +59,12 @@ def _instrument(tracer: Optional[Tracer]):
     if tracer is not None:
         solver = SolverCounts()
         return traced_layers(tracer, solver), None, solver
-    probe = OnlineProbe(before_run=pin_to_quietest_cpu)
+    probe = OnlineProbe()
     return probe.patches(), probe, None
 
 
 class DetOpt:
     name = "det-opt"
-    requests_repeat_exactly = True
-    single_threaded = True
 
     def __init__(self, seed: int) -> None:
         self.seed = seed
@@ -97,7 +94,6 @@ class DetOpt:
 
     def repeat(self, tracer: Optional[Tracer]) -> Repeat:
         patches, probe, solver = _instrument(tracer)
-        opt_seconds: List[float] = []
         fingerprint = []
         problems: List[str] = []
         failed = 0
@@ -107,11 +103,7 @@ class DetOpt:
             started = now()
             for index, instance in enumerate(self.instances):
                 try:
-                    if probe is not None:
-                        pin_to_quietest_cpu()
-                    opt_started = now()
                     bounds = opt.offline_optimum_bounds(instance)
-                    opt_seconds.append(now() - opt_started)
                     result = simulator.run_online(
                         DeterministicClosestLearner(), instance, verify=True
                     )
@@ -140,7 +132,6 @@ class DetOpt:
             failed=failed,
             fingerprint=tuple(fingerprint),
             work=work_delta(work_before, work_snapshot()),
-            parts=opt_seconds + probe.pieces if probe is not None else [],
             latencies_s=probe.step_seconds if probe is not None else [],
             problems=problems,
             solver=solver,
@@ -149,8 +140,6 @@ class DetOpt:
 
 class RandTrials:
     name = "rand-trials"
-    requests_repeat_exactly = True
-    single_threaded = True
 
     def __init__(self, seed: int) -> None:
         self.seed = seed
@@ -225,7 +214,6 @@ class RandTrials:
             failed=failed,
             fingerprint=tuple(fingerprint),
             work=work_delta(work_before, work_snapshot()),
-            parts=probe.pieces if probe is not None else [],
             latencies_s=probe.step_seconds if probe is not None else [],
             problems=problems,
             solver=solver,

@@ -18,26 +18,19 @@ End-to-end metrics:
 * ``setup_s``: median set-up time (input generation, OPT for
   ``rand-trials``, partition discovery), plus the median time to build and
   start one service for the serving workloads.
-* ``wall_s``: the fixed job's time to solution.  The job is cut into
-  pieces that are the same on every repeat (each OPT bracket, each online
-  run's start and each of its reveal steps offline; the whole replay when
-  serving).  ``wall_s`` sums each piece's fastest repeat: on a shared host
-  the other tenants slow individual pieces by tens of percent, and the
-  fastest repeat is the cost with the least of that interference.  For the
-  same reason each set-up and each offline piece first moves the process
-  to the CPU that runs a short probe fastest at that moment
-  (``tracer.pin_to_quietest_cpu``); serving runs unpinned.
+* ``wall_s``: the fixed job's time to solution, the whole job's wall time
+  (the replay phase when serving) at its fastest repeat.  Why the fastest
+  and not the median repeat is explained in ``measure.py``.
 * ``req_per_s``: requests completed per second of ``wall_s``: reveal steps
   offline, served requests in the replay phase when serving.
 * ``latency_p50_ms``, ``latency_p90_ms``: nearest-rank percentiles of the
-  per-request latency.  Offline a request is one reveal step, from the
-  learner's ``process`` entry to the next one, taken at its fastest repeat
-  like the pieces of ``wall_s``.  Serving, a request of the fixed-rate
-  phase, from its due time to its result; open-loop timing differs between
-  repeats, so the percentiles are taken per repeat and the lowest repeat is
-  reported.
-* ``peak_rss_mb``: peak resident memory of this process plus the largest
-  worker process it reaped.
+  per-request latency, taken per repeat; the lowest repeat is reported.
+  Offline a request is one reveal step, from the learner's ``process``
+  entry to the next one.  Serving, a request of the fixed-rate phase, from
+  its due time to its result.
+* ``peak_rss_mb``: the larger of this process's peak resident memory and
+  that of the largest worker process it reaped.  Forked workers share the
+  parent's pages, so the two are not added.
 
 Failures are reported in the result's ``attempted`` / ``failed`` fields:
 runs or trials that raised, requests that were never served.
@@ -104,7 +97,7 @@ def host_header() -> str:
 def peak_rss_mb() -> float:
     own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    return (own + children) / 1024.0
+    return max(own, children) / 1024.0
 
 
 def stop_helper_processes() -> None:

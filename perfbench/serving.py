@@ -84,12 +84,6 @@ def _totals(report: ShardReport) -> Tuple:
 
 
 class Serve:
-    # Open-loop latency depends on timing, so it is judged per repeat.
-    requests_repeat_exactly = False
-    # Serving runs unpinned, as deployed: process workers need every CPU,
-    # and thread workers behave differently when squeezed onto one.
-    single_threaded = False
-
     def __init__(self, seed: int, backend: str) -> None:
         self.name = f"serve-{backend}"
         self.seed = seed
@@ -217,8 +211,6 @@ class Serve:
             failed=unserved,
             fingerprint=totals,
             work=work,
-            # One piece: the queues let work move between any finer cuts.
-            parts=[wall],
             latencies_s=latencies,
             problems=problems,
             solver=solver,

@@ -13,8 +13,6 @@ single clock seam, so the self-tests in ``check_math.py`` can drive it with
   change to the program itself.
 * :func:`nearest_rank` is the percentile every reported latency uses.  It
   refuses a percentile with fewer than ten samples beyond it.
-* :func:`pin_to_quietest_cpu` moves the calling thread, between timed
-  pieces, to the CPU where a short probe currently runs fastest.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ import gzip
 import itertools
 import json
 import math
-import os
 import threading
 from fractions import Fraction
 from typing import Callable, ContextManager, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -33,9 +30,6 @@ from repro.obs import clock
 
 #: Minimum number of samples a reported percentile needs above its rank.
 MIN_SAMPLES_BEYOND = 10
-
-#: The CPUs this process may run on, read once before any pinning.
-ALLOWED_CPUS = tuple(sorted(os.sched_getaffinity(0)))
 
 #: Field order of a span tuple.
 SPAN_FIELDS = ("id", "parent", "name", "thread", "start", "end", "self_s")
@@ -140,36 +134,6 @@ def layer_totals(spans: Sequence[tuple]) -> Dict[str, Tuple[int, float]]:
         calls, self_s = totals.get(span[2], (0, 0.0))
         totals[span[2]] = (calls + 1, self_s + span[6])
     return totals
-
-
-def _probe_seconds() -> float:
-    """A fixed sliver of interpreter work, timed."""
-    started = clock.now()
-    total = 0
-    for value in range(2_000):
-        total += value * value % 7
-    return clock.now() - started
-
-
-def pin_to_quietest_cpu() -> None:
-    """Move this process to the allowed CPU that runs a probe fastest now.
-
-    Other tenants of a shared host load its CPUs unevenly and the load moves
-    around, so a single-threaded workload hops, between timed pieces, to the
-    CPU that is least contended at that moment.
-    """
-    if len(ALLOWED_CPUS) < 2:
-        return
-    fastest = {}
-    for cpu in ALLOWED_CPUS:
-        os.sched_setaffinity(0, {cpu})
-        fastest[cpu] = min(_probe_seconds() for _ in range(3))
-    os.sched_setaffinity(0, {min(fastest, key=fastest.get)})
-
-
-def release_cpus() -> None:
-    """Undo :func:`pin_to_quietest_cpu`: allow every CPU again."""
-    os.sched_setaffinity(0, ALLOWED_CPUS)
 
 
 def maybe_span(tracer: Optional[Tracer], name: str) -> ContextManager[None]:
