@@ -41,7 +41,8 @@ class Repeat:
     """Costs the job produced; must be identical on every repeat."""
     work: Dict[str, int]
     """Work-counter delta of the job (deterministic)."""
-    latencies_s: List[float] = field(default_factory=list)
+    latencies_s: Optional[List[float]] = None
+    """Per-request latencies; ``None`` when the repeat had no latency phase."""
     problems: List[str] = field(default_factory=list)
     solver: Optional[SolverCounts] = None
     extra: Dict[str, object] = field(default_factory=dict)

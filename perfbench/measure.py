@@ -10,6 +10,7 @@ from typing import Dict, List, Tuple
 
 from repro.obs.clock import now
 
+import hostspeed
 from layers import Repeat
 from tracer import Tracer, layer_totals, median, nearest_rank
 
@@ -40,21 +41,43 @@ def _ms(seconds: List[float], q: float) -> float:
     return nearest_rank(seconds, q) * 1e3
 
 
-def latency_ms(repeats: List[Repeat], q: float, problems: List[str]) -> float:
-    """The lowest over repeats of each repeat's ``q`` latency percentile."""
+def latency_ms(
+    repeats: List[Repeat], scales: List[float], q: float, problems: List[str]
+) -> float:
+    """The median over repeats of each repeat's ``q`` latency percentile.
+
+    Each repeat's percentile is multiplied by its entry in ``scales``.
+    """
     values = []
-    for index, repeat in enumerate(repeats):
+    for index, (repeat, scale) in enumerate(zip(repeats, scales)):
+        if repeat.latencies_s is None:
+            continue
         try:
-            values.append(_ms(repeat.latencies_s, q))
+            values.append(_ms(repeat.latencies_s, q) * scale)
         except ValueError as error:
             problems.append(f"repeat {index}: no latency p{q * 100:g}: {error}")
-    return min(values) if values else 0.0
+    if not values:
+        problems.append(f"no repeat measured a latency p{q * 100:g}")
+        return 0.0
+    return median(values)
+
+
+def job_time(repeats: List[Repeat], scales: List[float]) -> float:
+    """The job's time to solution: the median repeat at reference speed."""
+    return median(hostspeed.scaled([repeat.wall_s for repeat in repeats], scales))
 
 
 def measure(workload, seconds: float, trace: bool) -> Outcome:
-    """Run ``workload`` for about ``seconds`` seconds of repeats."""
+    """Run ``workload`` for about ``seconds`` seconds of repeats.
+
+    Every set-up and every repeat is timed between two host-speed probes
+    and reported at reference speed (``hostspeed.py``); only latencies timed
+    against a schedule (``scaled_latency`` false) are reported as measured.
+    """
     tracer = Tracer()
+    setup_probes = hostspeed.Probes()
     setup_samples: List[float] = []
+    setup_scales: List[float] = []
     while len(setup_samples) < SETUP_REPEATS or (
         sum(setup_samples) < SETUP_MIN_SECONDS
         and len(setup_samples) < SETUP_MAX_REPEATS
@@ -62,6 +85,7 @@ def measure(workload, seconds: float, trace: bool) -> Outcome:
         started = now()
         workload.setup(None)
         setup_samples.append(now() - started)
+        setup_scales.append(setup_probes.close_piece())
     setup_spans: list = []
     if trace:
         mark = tracer.mark()
@@ -71,10 +95,16 @@ def measure(workload, seconds: float, trace: bool) -> Outcome:
     if prepare is not None:
         prepare()
 
+    build_samples = getattr(workload, "build_samples", [])
+    build_scales: List[float] = []
     untraced: List[Repeat] = []
+    untraced_scales: List[float] = []
     traced: List[Tuple[Repeat, list]] = []
+    traced_scales: List[float] = []
+    probes = hostspeed.Probes()
     started = now()
     while True:
+        builds = len(build_samples)
         if trace and len(traced) < len(untraced):
             mark = tracer.mark()
             repeat = workload.repeat(tracer)
@@ -82,8 +112,13 @@ def measure(workload, seconds: float, trace: bool) -> Outcome:
             # Keep the collector from rescanning the held spans, whose
             # pauses would otherwise land in the untraced repeats.
             gc.freeze()
+            scales = traced_scales
         else:
             untraced.append(workload.repeat(None))
+            scales = untraced_scales
+        scales.append(probes.close_piece())
+        # Services built during the repeat share its scale.
+        build_scales.extend([scales[-1]] * (len(build_samples) - builds))
         elapsed = now() - started
         done = len(untraced) + len(traced)
         enough = len(untraced) >= MIN_REPEATS and (
@@ -100,26 +135,29 @@ def measure(workload, seconds: float, trace: bool) -> Outcome:
     if len(works) != 1:
         problems.append("the job's work counts differ between repeats")
 
-    build_samples = getattr(workload, "build_samples", [])
-    setup_s = median(setup_samples) + (median(build_samples) if build_samples else 0.0)
-    # A shared 2-vCPU cloud host was seen switching, every ten seconds to
-    # minutes, between speeds up to 2x apart.  On the same runs the fastest
-    # repeat spread a half to two thirds as much across seeds as the median
-    # repeat (CHANGES.md), so every job time here is the fastest repeat.
-    wall_s = min(repeat.wall_s for repeat in untraced)
+    setup_s = median(hostspeed.scaled(setup_samples, setup_scales))
+    if build_samples:
+        setup_s += median(hostspeed.scaled(build_samples, build_scales))
+    wall_s = job_time(untraced, untraced_scales)
+    # Latency against a schedule is not computation the host's speed scales.
+    latency_scales = untraced_scales if workload.scaled_latency else [1.0] * len(untraced)
     metrics: Dict[str, Metric] = {
         "setup_s": (setup_s, "s"),
         "wall_s": (wall_s, "s"),
         "req_per_s": (untraced[0].units / wall_s, "1/s"),
-        "latency_p50_ms": (latency_ms(untraced, 0.5, problems), "ms"),
-        "latency_p90_ms": (latency_ms(untraced, 0.9, problems), "ms"),
+        "latency_p50_ms": (latency_ms(untraced, latency_scales, 0.5, problems), "ms"),
+        "latency_p90_ms": (latency_ms(untraced, latency_scales, 0.9, problems), "ms"),
     }
-    samples = [len(repeat.latencies_s) for repeat in untraced]
+    samples = [len(repeat.latencies_s) for repeat in untraced if repeat.latencies_s is not None]
     notes = [
         f"workload {workload.name}: {len(untraced)} untraced and {len(traced)} "
         f"traced repeats, {len(setup_samples)} set-ups, "
         f"{min(samples)}-{max(samples)} latency samples per repeat",
         "repeat wall_s " + json.dumps([round(repeat.wall_s, 4) for repeat in untraced]),
+        "repeat scale " + json.dumps([round(scale, 4) for scale in untraced_scales]),
+        "setup scaled median "
+        + f"{median(hostspeed.scaled(setup_samples, setup_scales)):.4f} s, raw "
+        + f"{median(setup_samples):.4f} s",
         f"work {json.dumps(untraced[0].work, sort_keys=True)}",
         # Equal digests mean equal work counts and equal served costs.
         "digest "
@@ -130,6 +168,10 @@ def measure(workload, seconds: float, trace: bool) -> Outcome:
     layer_metrics: Dict[str, Metric] = {}
     if trace:
         layer_metrics = _layer_metrics(workload, untraced, traced, setup_spans)
+        traced_time = job_time([repeat for repeat, _ in traced], traced_scales)
+        layer_metrics["trace.overhead"] = (traced_time / wall_s, "ratio")
+        probe_ms = [value * 1e3 for value in setup_probes.seconds + probes.seconds]
+        layer_metrics["host.probe_ms"] = (median(probe_ms), "ms")
     return Outcome(
         metrics=metrics,
         layer_metrics=layer_metrics,
@@ -157,9 +199,8 @@ def _layer_metrics(workload, untraced, traced, setup_spans) -> Dict[str, Metric]
       untraced fixed-rate phases: ``ServeResult.queue_seconds``,
       ``worker_stats()``, parent completion minus (submit stamp plus the
       worker's ``latency_seconds``), and send time minus due time.
-    * ``trace.overhead`` is the fastest traced job time over the fastest
-      untraced job time; ``trace.coverage`` is the spans' summed self time
-      over the traced job's wall time (above 1 when worker threads overlap).
+    * ``trace.coverage`` is the spans' summed self time over the traced
+      job's wall time (above 1 when worker threads overlap).
     """
     ordered = sorted(traced, key=lambda pair: pair[0].wall_s)
     repeat, job_spans = ordered[(len(ordered) - 1) // 2]
@@ -189,8 +230,6 @@ def _layer_metrics(workload, untraced, traced, setup_spans) -> Dict[str, Metric]
         return median(values) if values else 0.0
 
     is_process = workload.name == "serve-process"
-    untraced_wall = min(run.wall_s for run in untraced)
-    traced_wall = min(run.wall_s for run, _ in traced)
     return {
         "minla.closest.calls": (calls("minla.closest"), "count"),
         "minla.closest.self_s": (self_s("minla.closest"), "s"),
@@ -245,7 +284,6 @@ def _layer_metrics(workload, untraced, traced, setup_spans) -> Dict[str, Metric]
         "service.partition.self_s": (self_s("service.partition"), "s"),
         "workloads.self_s": (self_s("workloads"), "s"),
         "loadgen.lag_ms_p90": (serving_ms("lag_s", 0.9), "ms"),
-        "trace.overhead": (traced_wall / untraced_wall, "ratio"),
         "trace.coverage": (
             sum(span[6] for span in job_spans) / repeat.wall_s,
             "ratio",

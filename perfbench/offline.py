@@ -11,9 +11,10 @@ line of 512 nodes, 10 trials each, through ``run_trials(jobs=1)`` with the
 verifier on.  Every request is a migration and the subset DP is never
 reached; OPT for the ratio check is computed during set-up.
 
-Both jobs are kept short (one to three seconds) so that a run repeats them
-often: the reported time is the fastest repeat (see ``measure.py``), and
-more repeats give it more chances to fall in a quiet spell of the host."""
+Both jobs are kept short (one to four seconds) so that a run repeats them
+often and the host-speed probes around a repeat (``hostspeed.py``) bracket
+it closely.  Their per-step latencies are computation, so they are scaled
+to reference host speed like the job times."""
 
 from __future__ import annotations
 
@@ -65,6 +66,7 @@ def _instrument(tracer: Optional[Tracer]):
 
 class DetOpt:
     name = "det-opt"
+    scaled_latency = True
 
     def __init__(self, seed: int) -> None:
         self.seed = seed
@@ -140,6 +142,7 @@ class DetOpt:
 
 class RandTrials:
     name = "rand-trials"
+    scaled_latency = True
 
     def __init__(self, seed: int) -> None:
         self.seed = seed

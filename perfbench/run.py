@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout::
 
-    python3 perfbench/run.py --workload det-opt --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload det-opt --seed 1 --seconds 28 --trace 0
 
 Workloads (see ``offline.py`` and ``serving.py``): ``det-opt``,
 ``rand-trials``, ``serve-thread`` and ``serve-process``.  A run sets the
@@ -17,17 +17,21 @@ End-to-end metrics:
 
 * ``setup_s``: median set-up time (input generation, OPT for
   ``rand-trials``, partition discovery), plus the median time to build and
-  start one service for the serving workloads.
+  start one service for the serving workloads, at reference host speed
+  (``hostspeed.py``).
 * ``wall_s``: the fixed job's time to solution, the whole job's wall time
-  (the replay phase when serving) at its fastest repeat.  Why the fastest
-  and not the median repeat is explained in ``measure.py``.
+  (the replay phase when serving) at reference host speed, at its median
+  repeat.  Raw repeat times and their host-speed scales are printed on
+  ``#`` lines before the result.
 * ``req_per_s``: requests completed per second of ``wall_s``: reveal steps
   offline, served requests in the replay phase when serving.
 * ``latency_p50_ms``, ``latency_p90_ms``: nearest-rank percentiles of the
-  per-request latency, taken per repeat; the lowest repeat is reported.
+  per-request latency, taken per repeat; the median repeat is reported.
   Offline a request is one reveal step, from the learner's ``process``
-  entry to the next one.  Serving, a request of the fixed-rate phase, from
-  its due time to its result.
+  entry to the next one, at reference host speed.  Serving, a request of
+  the fixed-rate phase, from its due time to its result, as measured: that
+  phase runs against a schedule and a batch timeout, which the host's
+  speed does not scale.
 * ``peak_rss_mb``: the larger of this process's peak resident memory and
   that of the largest worker process it reaped.  Forked workers share the
   parent's pages, so the two are not added.

@@ -2,18 +2,35 @@
 
 Both serve the same ``zipf-tenants`` traffic stream (256 nodes) through
 ``repro.service`` with 2 shards, batch 16 and the ``rand`` learner; only the
-worker backend differs.  Each repeat runs two phases on fresh services:
+worker backend differs.  There are two phases, each on a fresh service:
 
 * **replay** submits the whole request list back to back with
   ``batch_timeout=None``.  Batch composition, and so every served cost, is
   then a function of the request order alone.  This phase measures capacity
-  (``req_per_s``) and gives the deterministic work counts.
+  (``req_per_s``) and gives the deterministic work counts.  Every repeat
+  runs it.
 * **fixed rate** drives ``ArrangementService.submit`` from this file with
   the first 20,000 requests, on a seeded open-loop Poisson schedule at
   10,000 req/s with a 2 ms batch timeout.  Each request is timed from when
   it was *due* to when its result reaches this process, so a stalled
   generator shows as latency, and the generator's own lateness is reported
-  as ``loadgen.lag_ms_p90``.
+  as ``loadgen.lag_ms_p90``.  Only the first ``FIXED_PHASES`` untraced
+  repeats run it: its latency percentiles already agree within a few
+  percent between runs, while the replay time needs as many repeats as a
+  run can hold.
+
+This process, with every thread it starts, runs on one CPU; the process
+backend's shard workers run on the other CPUs.  Left to the scheduler, the
+three busy parties (this process and two workers, or three threads) on a
+2-vCPU cloud VM timed the scheduler and the host's load more than the
+program.  The thread backend's threads share one interpreter lock, so a
+second CPU gives them no parallelism, only hand-offs that must wake it: in
+three alternating pairs of runs (2 seeds x 5-6 replays) the median replay
+took 0.87-0.93 s on one CPU and 0.97-1.58 s on both, and across ten seeds
+the spread of ``wall_s`` (IQR over median) fell from 0.12-0.26 to 0.04.
+For the process backend, five seeds run interleaved in each placement gave
+a ``wall_s`` spread of 0.38 left to the scheduler, 0.53 with everything on
+one CPU and 0.09 with the workers apart from this process.
 
 The request list, its arrival schedule and the shard partition are built in
 set-up.  The replay totals must equal a sequential reference computed once
@@ -24,6 +41,8 @@ which is how the two workloads are held to the same served cost.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import random
 import time
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -48,6 +67,7 @@ REPLAY_REQUESTS = 100_000
 FIXED_RATE = 10_000.0
 FIXED_REQUESTS = 20_000
 FIXED_BATCH_TIMEOUT = 0.002
+FIXED_PHASES = 3
 
 
 def drive_open_loop(
@@ -84,6 +104,10 @@ def _totals(report: ShardReport) -> Tuple:
 
 
 class Serve:
+    #: Fixed-rate latency is timed against a schedule and a batch timeout,
+    #: which the host's speed does not scale.
+    scaled_latency = False
+
     def __init__(self, seed: int, backend: str) -> None:
         self.name = f"serve-{backend}"
         self.seed = seed
@@ -91,6 +115,11 @@ class Serve:
         self.setup_solver = SolverCounts()
         self.build_samples: List[float] = []
         self.reference: Optional[Tuple] = None
+        self.fixed_phases = 0
+        cpus = sorted(os.sched_getaffinity(0))
+        # Before any service thread starts: threads inherit the affinity.
+        os.sched_setaffinity(0, cpus[:1])
+        self.worker_cpus = set(cpus[1:]) or set(cpus)
 
     def setup(self, tracer: Optional[Tracer]) -> None:
         with maybe_span(tracer, "workloads"):
@@ -149,11 +178,15 @@ class Serve:
             retain_results=False,
         )
         service.start()
+        # Each worker has one thread until its first result; later ones
+        # inherit this affinity.
+        for worker in multiprocessing.active_children():
+            os.sched_setaffinity(worker.pid, self.worker_cpus)
         self.build_samples.append(now() - started)
         return service
 
     def repeat(self, tracer: Optional[Tracer]) -> Repeat:
-        """One replay, plus one fixed-rate phase when not traced."""
+        """One replay, plus one fixed-rate phase in the first untraced repeats."""
         solver = SolverCounts()
         patches = [] if tracer is None else traced_layers(tracer, solver)
         served = [0] * SERVE_SHARDS
@@ -195,9 +228,10 @@ class Serve:
             "busy_s": sum(busy),
             "batch_mean": REPLAY_REQUESTS / batches if batches else 0.0,
         }
-        latencies: List[float] = []
+        latencies: Optional[List[float]] = None
         attempted = REPLAY_REQUESTS
-        if tracer is None:
+        if tracer is None and self.fixed_phases < FIXED_PHASES:
+            self.fixed_phases += 1
             fixed = self._fixed_rate()
             latencies = fixed.pop("latencies_s")
             problems.extend(fixed.pop("problems"))
