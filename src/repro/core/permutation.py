@@ -469,8 +469,7 @@ class MutableArrangement:
 
     def order_list(self) -> List[Node]:
         """The nodes from left to right as a fresh list."""
-        labels = self._labels
-        return [labels[index] for index in self._order]
+        return list(map(self._labels.__getitem__, self._order))
 
     def positions_of(self, nodes: Iterable[Node]) -> List[int]:
         """The positions of ``nodes``, in iteration order."""
@@ -542,10 +541,9 @@ class MutableArrangement:
     # ------------------------------------------------------------------
     def _reindex(self, lo: int, hi: int) -> None:
         """Refresh the position array for the order segment ``lo..hi`` inclusive."""
-        order = self._order
         position = self._position
-        for index in range(lo, hi + 1):
-            position[order[index]] = index
+        for index, node in enumerate(self._order[lo : hi + 1], lo):
+            position[node] = index
 
     def slide_block_next_to(self, block: Iterable[Node], target: Iterable[Node]) -> int:
         """Slide the contiguous ``block`` until it touches the contiguous ``target``.

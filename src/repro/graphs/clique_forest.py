@@ -15,12 +15,13 @@ maintains that structure incrementally:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Tuple
-
-import networkx as nx
+from typing import Dict, FrozenSet, Hashable, Iterable, List, TYPE_CHECKING, Tuple
 
 from repro.errors import RevealError
 from repro.graphs.components import DisjointSetForest
+
+if TYPE_CHECKING:  # pragma: no cover - networkx is imported where a graph is built
+    import networkx as nx
 
 Node = Hashable
 
@@ -119,6 +120,8 @@ class CliqueForest:
 
     def to_networkx(self) -> nx.Graph:
         """The currently revealed graph as a :class:`networkx.Graph`."""
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(self.nodes)
         graph.add_edges_from(self.edges())

@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import FrozenSet, Hashable, Iterator, List, Sequence, Tuple, Union
-
-import networkx as nx
+from typing import FrozenSet, Hashable, Iterator, List, Sequence, TYPE_CHECKING, Tuple, Union
 
 from repro.errors import RevealError
 from repro.graphs.clique_forest import CliqueForest
 from repro.graphs.line_forest import LineForest
+
+if TYPE_CHECKING:  # pragma: no cover - networkx is imported where a graph is built
+    import networkx as nx
 
 Node = Hashable
 

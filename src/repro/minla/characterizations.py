@@ -27,14 +27,16 @@ materializing immutable snapshots.
 :class:`IncrementalStepVerifier` is the high-throughput form of the check: it
 exploits that each reveal step merges exactly two components, so when the
 algorithm only moved the merged component (the case for the paper's
-randomized algorithms), re-validating that single component — plus two O(n)
-structural guards — is equivalent to re-validating the whole forest.  Steps
+randomized algorithms), re-validating that single component — plus two
+structural guards that look no further than the step's window of moved
+positions — is equivalent to re-validating the whole forest.  Steps
 that rearranged anything else fall back to the full characterization check,
 so exactly the same violations are detected either way.
 """
 
 from __future__ import annotations
 
+from itertools import filterfalse
 from typing import Hashable, Iterable, List, Sequence, Tuple, Union
 
 from repro.core.permutation import Arrangement
@@ -48,6 +50,9 @@ from repro.minla.cost import optimal_clique_cost, optimal_path_cost
 
 Node = Hashable
 Forest = Union[CliqueForest, LineForest]
+
+#: Slice width of the verifier's search for the ends of a step's mismatch window.
+_SCAN_CHUNK = 64
 
 
 def is_minla_of_cliques(
@@ -99,8 +104,10 @@ class IncrementalStepVerifier:
 
     1. the merged component satisfies its characterization (contiguous for
        cliques, contiguous *and* path-ordered for lines) — ``O(|component|)``;
-    2. the relative order of all untouched nodes is unchanged — one ``O(n)``
-       scan with no sorting or per-component set building;
+    2. the relative order of all untouched nodes is unchanged —
+       ``O(|window|)``, compared inside the step's mismatch window only:
+       nodes outside it kept their exact positions, so the untouched nodes'
+       full orders agree iff their filtered windows do;
     3. the merged component's block does not sit strictly inside another
        component's span — ``O(1)`` via the two block-boundary neighbours.
 
@@ -147,7 +154,7 @@ class IncrementalStepVerifier:
         arrangement is feasible, so one verifier instance tracks one run.
         """
         order = arrangement.order_list()
-        kendall_tau = self._kendall_tau_from_previous(order)
+        kendall_tau, w_lo, w_hi = self._kendall_tau_from_previous(order)
         positions = arrangement.positions_of(merged)
         lo, hi = min(positions), max(positions)
         contiguous = hi - lo + 1 == len(positions)
@@ -163,7 +170,9 @@ class IncrementalStepVerifier:
             )
         if not merged_ok:
             return False, kendall_tau
-        feasible = self._step_left_rest_untouched(order, set(merged), lo, hi)
+        feasible = self._step_left_rest_untouched(
+            order, set(merged), lo, hi, w_lo, w_hi
+        )
         if feasible:
             _count_work("minla.verifier.incremental_checks")
         else:
@@ -175,29 +184,40 @@ class IncrementalStepVerifier:
             self._previous_order = order
         return feasible, kendall_tau
 
-    def _kendall_tau_from_previous(self, order: List[Node]) -> int:
+    def _kendall_tau_from_previous(self, order: List[Node]) -> Tuple[int, int, int]:
         """Kendall-tau distance between the stored previous order and ``order``.
 
-        Every node outside the minimal window of mismatching positions kept
-        its exact position, so no pair involving such a node changed relative
-        order; the distance therefore equals the inversion count inside the
-        window — ``O(w log w)`` for a window of size ``w`` instead of
+        Returns ``(distance, w_lo, w_hi)``, where ``[w_lo, w_hi]`` is the
+        minimal window of mismatching positions (``w_lo > w_hi`` when the
+        orders are equal).  Every node outside the window kept its exact
+        position, so no pair involving such a node changed relative order;
+        the distance therefore equals the inversion count inside the window
+        — ``O(w log w)`` for a window of size ``w`` instead of
         ``O(n log n)`` for the whole arrangement.  The dominant update shape,
         a block slide, rotates its window (``A+B`` becomes ``B+A`` with both
         parts order-preserved, flipping exactly ``|A|·|B|`` pairs); that case
         is recognized with two slice comparisons and costs no inversion count
-        at all.
+        at all.  The window's ends are found with chunked slice comparisons,
+        so the unchanged prefix and suffix cost C-level work only.
         """
         previous = self._previous_order
         n = len(previous)
         if len(order) != n:
             raise ArrangementError("the node universe changed during an update")
+        if order == previous:
+            return 0, 0, -1
         lo = 0
-        while lo < n and previous[lo] == order[lo]:
+        while previous[lo : lo + _SCAN_CHUNK] == order[lo : lo + _SCAN_CHUNK]:
+            lo += _SCAN_CHUNK
+        while previous[lo] == order[lo]:
             lo += 1
-        if lo == n:
-            return 0
-        hi = n - 1
+        hi = n
+        while True:
+            start = max(hi - _SCAN_CHUNK, lo)
+            if previous[start:hi] != order[start:hi]:
+                break
+            hi = start
+        hi -= 1
         while previous[hi] == order[hi]:
             hi -= 1
         prev_window = previous[lo : hi + 1]
@@ -211,21 +231,23 @@ class IncrementalStepVerifier:
             window[split:] == prev_window[: width - split]
             and window[:split] == prev_window[width - split :]
         ):
-            return (width - split) * split
-        window_position = {node: index for index, node in enumerate(window)}
+            return (width - split) * split, lo, hi
+        window_position = dict(zip(window, range(width)))
         try:
-            return count_inversions([window_position[node] for node in prev_window])
+            sequence = list(map(window_position.__getitem__, prev_window))
         except KeyError:
             raise ArrangementError("the node universe changed during an update") from None
+        return count_inversions(sequence), lo, hi
 
     def _step_left_rest_untouched(
-        self, order: List[Node], touched: set, lo: int, hi: int
+        self, order: List[Node], touched: set, lo: int, hi: int, w_lo: int, w_hi: int
     ) -> bool:
         """Sufficient condition: only the merged component moved this step.
 
-        ``lo``/``hi`` bound the merged component's (contiguous) span.  Checks
-        guards (2) and (3) of the class docstring.  A ``False`` return is not
-        a violation — merely a signal to run the full check.
+        ``lo``/``hi`` bound the merged component's (contiguous) span and
+        ``[w_lo, w_hi]`` is the step's mismatch window.  Checks guards (2)
+        and (3) of the class docstring.  A ``False`` return is not a
+        violation — merely a signal to run the full check.
         """
         # Guard 3: the merged block must not split another component.  The
         # merged component is contiguous (guard 1 passed), so the only way an
@@ -236,10 +258,13 @@ class IncrementalStepVerifier:
             if self._forest.same_component(order[lo - 1], order[hi + 1]):
                 return False
         # Guard 2: untouched nodes must appear in the same relative order as
-        # before the step.
-        untouched_now = [node for node in order if node not in touched]
-        untouched_before = [node for node in self._previous_order if node not in touched]
-        return untouched_now == untouched_before
+        # before the step.  Nodes outside the mismatch window kept their
+        # exact positions, so the filtered full orders agree iff the filtered
+        # windows do; an empty window passes.
+        is_touched = touched.__contains__
+        return list(filterfalse(is_touched, order[w_lo : w_hi + 1])) == list(
+            filterfalse(is_touched, self._previous_order[w_lo : w_hi + 1])
+        )
 
 
 def violated_components(

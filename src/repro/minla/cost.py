@@ -10,11 +10,13 @@ validated against.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Tuple, Union
-
-import networkx as nx
+import sys
+from typing import Hashable, Iterable, TYPE_CHECKING, Tuple, Union
 
 from repro.core.permutation import Arrangement
+
+if TYPE_CHECKING:  # pragma: no cover - networkx is imported where a graph is built
+    import networkx as nx
 
 Node = Hashable
 Edge = Tuple[Node, Node]
@@ -27,7 +29,10 @@ def linear_arrangement_cost(
 
     ``edges`` may be a :class:`networkx.Graph` or any iterable of node pairs.
     """
-    if isinstance(edges, nx.Graph):
+    # Nothing can be a networkx graph before networkx is imported, so the
+    # edge-list path never pays for importing it.
+    networkx = sys.modules.get("networkx")
+    if networkx is not None and isinstance(edges, networkx.Graph):
         edge_iter: Iterable[Edge] = edges.edges()
     else:
         edge_iter = edges

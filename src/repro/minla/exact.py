@@ -20,13 +20,14 @@ caller asks for every optimal arrangement.
 from __future__ import annotations
 
 from itertools import permutations
-from typing import Hashable, Iterable, List, Tuple, Union
-
-import networkx as nx
+from typing import Hashable, Iterable, List, TYPE_CHECKING, Tuple, Union
 
 from repro.core.permutation import Arrangement
 from repro.errors import SolverError
 from repro.minla.cost import linear_arrangement_cost
+
+if TYPE_CHECKING:  # pragma: no cover - networkx is imported where a graph is built
+    import networkx as nx
 
 Node = Hashable
 Edge = Tuple[Node, Node]
@@ -38,6 +39,8 @@ MAX_EXACT_NODES = 10
 
 
 def _normalize(graph_or_edges: Union[nx.Graph, Iterable[Edge]], nodes: Iterable[Node] = ()) -> nx.Graph:
+    import networkx as nx
+
     if isinstance(graph_or_edges, nx.Graph):
         return graph_or_edges
     graph = nx.Graph()

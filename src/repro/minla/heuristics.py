@@ -26,13 +26,14 @@ back to the greedy candidate alone.
 
 from __future__ import annotations
 
-from typing import Hashable, List, Optional, Tuple
-
-import networkx as nx
+from typing import Hashable, List, Optional, TYPE_CHECKING, Tuple
 
 from repro.core.permutation import Arrangement
 from repro.errors import SolverError
 from repro.minla.cost import linear_arrangement_cost
+
+if TYPE_CHECKING:  # pragma: no cover - networkx is imported where a graph is built
+    import networkx as nx
 
 try:  # pragma: no cover - exercised via the CI matrix leg without numpy
     import numpy as np
@@ -55,6 +56,8 @@ def spectral_arrangement(graph: nx.Graph) -> Arrangement:
             "spectral_arrangement() requires numpy, which is not installed; "
             "use greedy_insertion_arrangement() or install numpy"
         )
+    import networkx as nx
+
     if graph.number_of_nodes() == 0:
         raise SolverError("spectral_arrangement() needs a non-empty graph")
     order: List[Node] = []

@@ -46,6 +46,73 @@ except ImportError:  # pragma: no cover - exercised via the CI matrix leg
     _numpy = None
 
 
+#: Most maximal runs :func:`_few_run_inversions` handles before it gives up.
+_FEW_RUNS = 8
+
+
+def _run_end(values: List[int], start: int, step: int) -> int:
+    """End (exclusive) of the maximal run from ``start`` stepping by ``step``.
+
+    Gallops: the probe doubles while ``values`` keeps matching the run's
+    arithmetic progression, then halves down to the exact end, so a run of
+    length ``L`` costs ``O(log L)`` C-level slice comparisons.
+    """
+    n = len(values)
+    first = values[start]
+    end, width, growing = start + 1, 1, True
+    while width and end < n:
+        stop = min(end + width, n)
+        expected = first + step * (end - start)
+        if values[end:stop] == list(range(expected, expected + step * (stop - end), step)):
+            end = stop
+            if growing:
+                width *= 2
+        else:
+            growing = False
+            width //= 2
+    return end
+
+
+def _few_run_inversions(values: List[int]) -> Optional[int]:
+    """Exact inversion count of a few-run sequence, or ``None``.
+
+    Handles sequences that split into at most :data:`_FEW_RUNS` maximal runs
+    of ``+1`` or ``-1`` steps whose value ranges are pairwise disjoint — the
+    shapes a block slide plus an orientation flip produces.  A descending
+    run of length ``L`` holds ``L(L-1)/2`` inversions, and a pair of runs
+    adds the product of their lengths when the later run's range is lower.
+    Anything else returns ``None`` once it has seen more than
+    :data:`_FEW_RUNS` runs or two overlapping ones.
+    """
+    runs: List[Tuple[int, int, int, bool]] = []
+    n = len(values)
+    start = 0
+    while start < n:
+        if len(runs) == _FEW_RUNS:
+            return None
+        end = start + 1
+        if end < n:
+            step = values[end] - values[start]
+            # ``range`` needs ints: float or numpy steps end the run here.
+            if type(step) is int and (step == 1 or step == -1):
+                end = _run_end(values, start, step)
+        first, last = values[start], values[end - 1]
+        descending = last < first
+        low, high = (last, first) if descending else (first, last)
+        runs.append((low, high, end - start, descending))
+        start = end
+    inversions = 0
+    for index, (low, high, length, descending) in enumerate(runs):
+        if descending:
+            inversions += length * (length - 1) // 2
+        for later_low, later_high, later_length, _ in runs[index + 1 :]:
+            if later_high < low:
+                inversions += length * later_length
+            elif later_low <= high:
+                return None
+    return inversions
+
+
 def _merge_sort_count(values: List[int]) -> Tuple[List[int], int]:
     """Return ``(sorted(values), inversion count)`` using merge sort."""
     n = len(values)
@@ -344,6 +411,11 @@ def count_inversions(values: Sequence[int]) -> int:
     # its merge-sort fallback internally.
     _count_work("telemetry.backends.calls")
     _count_work("telemetry.backends.elements", len(values))
+    # Slides and orientation flips produce a handful of consecutive runs,
+    # whose count is closed-form; it is exact, so every backend agrees.
+    few_run = _few_run_inversions(values if type(values) is list else list(values))
+    if few_run is not None:
+        return few_run
     return get_backend().count_inversions(values)
 
 

@@ -1,6 +1,11 @@
 """Tests for the package surface: exception hierarchy, public exports, metadata."""
 
 import importlib
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -127,3 +132,66 @@ class TestPublicExports:
             module = importlib.import_module(module_name)
             for name in getattr(module, "__all__", []):
                 assert hasattr(module, name), f"{module_name}.{name} missing"
+
+
+REPOSITORY_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _run_python(*args: str) -> str:
+    """Run a fresh interpreter in the repository root on the checked-out sources."""
+    completed = subprocess.run(
+        [sys.executable, *args],
+        cwd=REPOSITORY_ROOT,
+        env={**os.environ, "PYTHONPATH": str(REPOSITORY_ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    return completed.stdout
+
+
+class TestLazyDependencies:
+    def test_verified_rand_and_thread_serving_never_import_networkx(self):
+        code = textwrap.dedent(
+            """
+            import random, sys
+            import repro
+            from repro.core.instance import OnlineMinLAInstance
+            from repro.core.rand_lines import RandomizedLineLearner
+            from repro.core.simulator import run_online
+            from repro.graphs.generators import random_line_sequence
+            from repro.service import run_scenario_loadgen
+            from repro.workloads.registry import get_scenario
+
+            rng = random.Random(0)
+            instance = OnlineMinLAInstance.with_random_start(
+                random_line_sequence(32, rng), rng
+            )
+            run_online(RandomizedLineLearner(), instance, rng=random.Random(1), verify=True)
+            report = run_scenario_loadgen(
+                get_scenario("zipf-tenants"), num_nodes=24, num_requests=200,
+                seed=0, num_shards=2, batch_size=4, queue_capacity=200,
+                backend="thread",
+            )
+            assert report.summary.num_requests == 200, report.summary
+            print("networkx" in sys.modules)
+            """
+        )
+        assert _run_python("-c", code).split() == ["False"]
+
+
+class TestPackagingMetadata:
+    def test_setup_metadata_resolves_from_pyproject(self):
+        pytest.importorskip("setuptools")
+        stdout = _run_python("setup.py", "--name", "--version")
+        assert stdout.split() == ["repro", repro.__version__]
+        assert repro.__version__ == "1.1.0"
+
+    def test_pyproject_names_no_build_backend(self):
+        # A ``build-backend`` makes pip refuse ``--no-use-pep517``, the
+        # offline install path through the installed setuptools.
+        tomllib = pytest.importorskip("tomllib")
+        with open(REPOSITORY_ROOT / "pyproject.toml", "rb") as handle:
+            pyproject = tomllib.load(handle)
+        assert "build-backend" not in pyproject.get("build-system", {})
