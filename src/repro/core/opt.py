@@ -45,6 +45,7 @@ from repro.minla.closest import (
     blocks_from_forest,
     closest_feasible_arrangement,
 )
+from repro.obs.profile import profile_zone
 from repro.telemetry.backends import count_cross_inversions
 
 Node = Hashable
@@ -148,53 +149,56 @@ def offline_optimum_bounds(
         cheaper, and sufficient whenever the final graph is the binding
         constraint (e.g. fully merged instances for lines).
     """
-    pi0 = instance.initial_arrangement
-    if instance.num_steps == 0:
-        return OptBounds(lower=0, upper=0, upper_arrangement=pi0, exact=True)
+    with profile_zone("opt.bounds"):
+        pi0 = instance.initial_arrangement
+        if instance.num_steps == 0:
+            return OptBounds(lower=0, upper=0, upper_arrangement=pi0, exact=True)
 
-    if instance.kind is GraphKind.LINES:
+        if instance.kind is GraphKind.LINES:
+            final_forest = instance.sequence.final_forest()
+            result = closest_feasible_arrangement(
+                pi0, blocks_from_forest(final_forest), max_exact_blocks=max_exact_blocks
+            )
+            upper = result.distance
+            lower = result.distance if result.exact else 0
+            if check_prefixes and not result.exact:
+                lower = max(lower, _prefix_lower_bound(instance, max_exact_blocks))
+            return OptBounds(
+                lower=lower,
+                upper=upper,
+                upper_arrangement=result.arrangement,
+                exact=result.exact,
+            )
+
+        # Cliques: the single-jump target must respect the merge laminar family.
         final_forest = instance.sequence.final_forest()
-        result = closest_feasible_arrangement(
-            pi0, blocks_from_forest(final_forest), max_exact_blocks=max_exact_blocks
+        assert isinstance(final_forest, CliqueForest)
+        blocks, internal_cost = laminar_consistent_blocks(final_forest, pi0)
+        cross_result = closest_feasible_arrangement(
+            pi0, blocks, max_exact_blocks=max_exact_blocks
         )
-        upper = result.distance
-        lower = result.distance if result.exact else 0
-        if check_prefixes and not result.exact:
+        # ``cross_result.distance`` counts the best-orientation internal cost of the
+        # PATH blocks plus the cross cost; the laminar internal cost can only be
+        # larger or equal, so rebuild the upper bound explicitly.
+        upper_arrangement = cross_result.arrangement
+        upper = pi0.kendall_tau(upper_arrangement)
+
+        lower = 0
+        final_free_blocks = [
+            Block(BlockKind.FREE, tuple(sorted(component, key=repr)))
+            for component in final_forest.components()
+        ]
+        if _exactly_solvable(final_free_blocks, max_exact_blocks):
+            final_result = closest_feasible_arrangement(
+                pi0, final_free_blocks, max_exact_blocks=max_exact_blocks
+            )
+            lower = final_result.distance
+        if check_prefixes:
             lower = max(lower, _prefix_lower_bound(instance, max_exact_blocks))
+        exact = lower == upper
         return OptBounds(
-            lower=lower,
-            upper=upper,
-            upper_arrangement=result.arrangement,
-            exact=result.exact,
+            lower=lower, upper=upper, upper_arrangement=upper_arrangement, exact=exact
         )
-
-    # Cliques: the single-jump target must respect the merge laminar family.
-    final_forest = instance.sequence.final_forest()
-    assert isinstance(final_forest, CliqueForest)
-    blocks, internal_cost = laminar_consistent_blocks(final_forest, pi0)
-    cross_result = closest_feasible_arrangement(
-        pi0, blocks, max_exact_blocks=max_exact_blocks
-    )
-    # ``cross_result.distance`` counts the best-orientation internal cost of the
-    # PATH blocks plus the cross cost; the laminar internal cost can only be
-    # larger or equal, so rebuild the upper bound explicitly.
-    upper_arrangement = cross_result.arrangement
-    upper = pi0.kendall_tau(upper_arrangement)
-
-    lower = 0
-    final_free_blocks = [
-        Block(BlockKind.FREE, tuple(sorted(component, key=repr)))
-        for component in final_forest.components()
-    ]
-    if _exactly_solvable(final_free_blocks, max_exact_blocks):
-        final_result = closest_feasible_arrangement(
-            pi0, final_free_blocks, max_exact_blocks=max_exact_blocks
-        )
-        lower = final_result.distance
-    if check_prefixes:
-        lower = max(lower, _prefix_lower_bound(instance, max_exact_blocks))
-    exact = lower == upper
-    return OptBounds(lower=lower, upper=upper, upper_arrangement=upper_arrangement, exact=exact)
 
 
 def _exactly_solvable(blocks: Sequence[Block], max_exact_blocks: int) -> bool:
@@ -221,16 +225,6 @@ def _prefix_lower_bound(instance: OnlineMinLAInstance, max_exact_blocks: int) ->
         )
         best = max(best, result.distance)
     return best
-
-
-def opt_disagreement_estimate(instance: OnlineMinLAInstance) -> int:
-    """``|L_{π0} \\ L_{πOPT_k}|`` — the yardstick of Theorems 6 and 14.
-
-    Equal to the Kendall-tau distance between ``π_0`` and OPT's final
-    permutation; we use the single-jump target, whose distance upper-bounds
-    the true value, keeping empirical ratio denominators conservative.
-    """
-    return offline_optimum_bounds(instance).upper
 
 
 # ----------------------------------------------------------------------

@@ -21,7 +21,7 @@ Choosing the component order is a (weighted) linear ordering problem.  This
 module provides three strategies:
 
 * ``exact`` — dynamic programming over subsets of components,
-  ``O(2^m · m²)``; exact for any instance but only practical for ``m ≲ 14``
+  ``O(2^m · m)``; exact for any instance but only practical for ``m ≲ 14``
   components,
 * ``insertion`` — exact special case used when at most one component has more
   than one node (singletons keep their ``π_0`` order, the single block is
@@ -31,17 +31,20 @@ module provides three strategies:
   local search over adjacent component swaps; a documented approximation used
   only when the exact strategies are out of reach.
 
-``method="auto"`` picks the best applicable strategy.
+``method="auto"`` picks the best applicable strategy.  All three share the
+cross-cost matrix, built in one ``O(n · m)`` pass over ``π_0``.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
+from operator import add, sub
+from typing import Hashable, List, Sequence, Tuple, Union
 
 from repro.core.permutation import Arrangement
-from repro.telemetry.backends import count_cross_inversions, count_inversions
+from repro.obs.profile import count_work as _count_work, profile_zone
+from repro.telemetry.backends import count_inversions
 from repro.errors import SolverError
 from repro.graphs.clique_forest import CliqueForest
 from repro.graphs.line_forest import LineForest
@@ -127,18 +130,19 @@ def _pairwise_inversions(pi0: Arrangement, blocks: Sequence[Block]) -> List[List
     The cost is the number of pairs ``(x, y)`` with ``x`` in block ``i`` and
     ``y`` in block ``j`` that ``π_0`` orders as ``y`` before ``x``.
     Complements satisfy ``inv[i][j] + inv[j][i] = size_i · size_j``.
+
+    One O(n · m) pass over ``π_0``: each position adds the per-block counts
+    of the positions before it to its own block's row.
     """
-    sorted_positions = [
-        sorted(pi0.position(node) for node in block.nodes) for block in blocks
-    ]
+    block_of = {node: index for index, block in enumerate(blocks) for node in block.nodes}
     m = len(blocks)
     inv = [[0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            # Count pairs (x in i, y in j) with position(x) > position(y).
-            inv[i][j] = count_cross_inversions(sorted_positions[i], sorted_positions[j])
+    seen = [0] * m
+    for index in map(block_of.__getitem__, pi0.order):
+        inv[index] = list(map(add, inv[index], seen))
+        seen[index] += 1
+    for index in range(m):
+        inv[index][index] = 0
     return inv
 
 
@@ -155,43 +159,55 @@ def _order_cost(order: Sequence[int], inv: Sequence[Sequence[int]]) -> int:
 # Ordering strategies
 # ----------------------------------------------------------------------
 def _exact_order_dp(inv: Sequence[Sequence[int]]) -> Tuple[List[int], int]:
-    """Optimal block order by dynamic programming over subsets."""
+    """Optimal block order by dynamic programming over subsets, ``O(2^m · m)``.
+
+    ``dp[mask]`` is the minimal cross cost of placing the blocks of ``mask``
+    first; putting block ``b`` last among them adds ``remaining[mask][b] =
+    Σ_{o ∉ mask} inv[b][o]``.  Masks are visited in numeric order, each
+    pulling from its predecessors ``mask ^ (1 << b)``; its ``remaining``
+    vector and member tuple extend those of ``mask`` minus its lowest bit.
+    Members, kept as ``(block, 1 << block)`` pairs, come out in descending
+    block order; scanning them with a strict ``<`` gives ties to the largest
+    block index (``results/*.csv`` depend on this tie-break).
+    """
     m = len(inv)
+    _count_work("minla.closest.dp_states", 1 << m)
+    _count_work("minla.closest.dp_transitions", (m << m) >> 1)
     if m == 0:
         return [], 0
-    full = (1 << m) - 1
-    # dp[mask] = minimal cross cost already committed by the prefix ``mask``.
-    dp: List[Optional[int]] = [None] * (1 << m)
-    choice: List[int] = [-1] * (1 << m)
-    dp[0] = 0
-    masks_by_popcount: List[List[int]] = [[] for _ in range(m + 1)]
-    for mask in range(1 << m):
-        masks_by_popcount[bin(mask).count("1")].append(mask)
-    for popcount in range(m):
-        for mask in masks_by_popcount[popcount]:
-            base = dp[mask]
-            if base is None:
-                continue
-            remaining = [j for j in range(m) if not mask & (1 << j)]
-            for block in remaining:
-                extra = 0
-                for other in remaining:
-                    if other != block:
-                        extra += inv[block][other]
-                new_mask = mask | (1 << block)
-                candidate = base + extra
-                if dp[new_mask] is None or candidate < dp[new_mask]:
-                    dp[new_mask] = candidate
-                    choice[new_mask] = block
-    # Reconstruct the order.
+    size = 1 << m
+    columns = [[row[block] for row in inv] for block in range(m)]
+    member_of = [(block, 1 << block) for block in range(m)]
+    remaining: List[List[int]] = [[]] * size
+    remaining[0] = [sum(row) for row in inv]
+    members: List[Tuple[Tuple[int, int], ...]] = [()] * size
+    dp = [0] * size
+    choice = [0] * size
+    for mask in range(1, size):
+        low = mask & -mask
+        low_block = low.bit_length() - 1
+        rest = mask ^ low
+        remaining_here = list(map(sub, remaining[rest], columns[low_block]))
+        remaining[mask] = remaining_here
+        members_here = members[rest] + (member_of[low_block],)
+        members[mask] = members_here
+        best_block, bit = members_here[0]
+        best = dp[mask ^ bit] + remaining_here[best_block]
+        for block, bit in members_here:
+            candidate = dp[mask ^ bit] + remaining_here[block]
+            if candidate < best:
+                best = candidate
+                best_block = block
+        dp[mask] = best
+        choice[mask] = best_block
     order_reversed: List[int] = []
-    mask = full
+    mask = size - 1
     while mask:
         block = choice[mask]
         order_reversed.append(block)
         mask ^= 1 << block
     order_reversed.reverse()
-    return order_reversed, int(dp[full])
+    return order_reversed, dp[size - 1]
 
 
 def _mean_position_order(pi0: Arrangement, blocks: Sequence[Block]) -> List[int]:
@@ -284,50 +300,55 @@ def closest_feasible_arrangement(
         The arrangement, its Kendall-tau distance to ``π_0``, whether the
         result is provably optimal, and which strategy produced it.
     """
-    all_nodes = [node for block in blocks for node in block.nodes]
-    if len(set(all_nodes)) != len(all_nodes):
-        raise SolverError("blocks overlap: a node appears in two blocks")
-    if set(all_nodes) != set(pi0.nodes):
-        raise SolverError("blocks must partition the node set of the reference permutation")
-
-    internal: List[Tuple[Tuple[Node, ...], int]] = [
-        best_internal_order(pi0, block) for block in blocks
-    ]
-    internal_cost = sum(cost for _, cost in internal)
-    inv = _pairwise_inversions(pi0, blocks)
-
-    num_nontrivial = sum(1 for block in blocks if block.size > 1)
-    if method == "auto":
-        if len(blocks) <= max_exact_blocks:
-            method = "exact"
-        elif num_nontrivial <= 1:
-            method = "insertion"
-        else:
-            method = "greedy"
-
-    if method == "exact":
-        if len(blocks) > max_exact_blocks:
+    with profile_zone("closest.solve"):
+        all_nodes = [node for block in blocks for node in block.nodes]
+        if len(set(all_nodes)) != len(all_nodes):
+            raise SolverError("blocks overlap: a node appears in two blocks")
+        if set(all_nodes) != set(pi0.nodes):
             raise SolverError(
-                f"exact ordering limited to {max_exact_blocks} blocks; got {len(blocks)}"
+                "blocks must partition the node set of the reference permutation"
             )
-        order, cross_cost = _exact_order_dp(inv)
-        exact = True
-    elif method == "insertion":
-        order, cross_cost = _insertion_order(pi0, blocks, inv)
-        exact = True
-    elif method == "greedy":
-        order = _local_search(_mean_position_order(pi0, blocks), inv)
-        cross_cost = _order_cost(order, inv)
-        exact = False  # greedy never claims optimality
-    else:
-        raise SolverError(f"unknown closest-arrangement method {method!r}")
 
-    layout: List[Node] = []
-    for index in order:
-        layout.extend(internal[index][0])
-    arrangement = Arrangement(layout)
-    distance = cross_cost + internal_cost
-    return ClosestResult(arrangement=arrangement, distance=distance, exact=exact, method=method)
+        internal: List[Tuple[Tuple[Node, ...], int]] = [
+            best_internal_order(pi0, block) for block in blocks
+        ]
+        internal_cost = sum(cost for _, cost in internal)
+        inv = _pairwise_inversions(pi0, blocks)
+
+        num_nontrivial = sum(1 for block in blocks if block.size > 1)
+        if method == "auto":
+            if len(blocks) <= max_exact_blocks:
+                method = "exact"
+            elif num_nontrivial <= 1:
+                method = "insertion"
+            else:
+                method = "greedy"
+
+        if method == "exact":
+            if len(blocks) > max_exact_blocks:
+                raise SolverError(
+                    f"exact ordering limited to {max_exact_blocks} blocks; got {len(blocks)}"
+                )
+            order, cross_cost = _exact_order_dp(inv)
+            exact = True
+        elif method == "insertion":
+            order, cross_cost = _insertion_order(pi0, blocks, inv)
+            exact = True
+        elif method == "greedy":
+            order = _local_search(_mean_position_order(pi0, blocks), inv)
+            cross_cost = _order_cost(order, inv)
+            exact = False  # greedy never claims optimality
+        else:
+            raise SolverError(f"unknown closest-arrangement method {method!r}")
+
+        layout: List[Node] = []
+        for index in order:
+            layout.extend(internal[index][0])
+        arrangement = Arrangement(layout)
+        distance = cross_cost + internal_cost
+        return ClosestResult(
+            arrangement=arrangement, distance=distance, exact=exact, method=method
+        )
 
 
 def closest_minla_distance(

@@ -5,11 +5,13 @@ import json
 import pytest
 
 from repro.cli import algorithm_factory, build_parser, main
+from repro.core import det, opt
 from repro.core.det import DeterministicClosestLearner
 from repro.core.rand_cliques import RandomizedCliqueLearner
 from repro.core.rand_lines import RandomizedLineLearner
 from repro.errors import ReproError
 from repro.graphs.reveal import GraphKind
+from repro.minla import closest
 
 
 class TestAlgorithmResolution:
@@ -320,6 +322,40 @@ class TestPerfCommand:
         diff = capsys.readouterr().out
         assert "DRIFT" in diff
         assert "counter drift" in diff
+
+    def test_perf_run_attributes_the_solver(self, capsys, monkeypatch):
+        # Record the block count of every exact solve, seen from outside
+        # the solver, on each module that holds a reference to it.
+        exact_block_counts = []
+
+        def recording(solve):
+            def wrapper(pi0, blocks, *args, **kwargs):
+                result = solve(pi0, blocks, *args, **kwargs)
+                if result.method == "exact":
+                    exact_block_counts.append(len(blocks))
+                return result
+
+            return wrapper
+
+        for module in (closest, det, opt):
+            monkeypatch.setattr(
+                module,
+                "closest_feasible_arrangement",
+                recording(module.closest_feasible_arrangement),
+            )
+        assert (
+            main(["perf", "run", "e11", "--scale", "smoke", "--no-store", "--format", "json"])
+            == 0
+        )
+        payload = json.loads(capsys.readouterr().out)
+        zone_paths = [tuple(zone["path"]) for zone in payload["zones"]["zones"]]
+        assert any(path[-2:] == ("opt.bounds", "closest.solve") for path in zone_paths)
+        assert exact_block_counts
+        work = payload["work"]
+        assert work["minla.closest.dp_states"] == sum(1 << m for m in exact_block_counts)
+        assert work["minla.closest.dp_transitions"] == sum(
+            (m << m) >> 1 for m in exact_block_counts
+        )
 
     def test_perf_run_without_target_errors(self, capsys):
         with pytest.raises(SystemExit):
