@@ -37,8 +37,8 @@ DETERMINISTIC_MODULES: Tuple[str, ...] = (
 #: bounded queues — stdlib *and* multiprocessing variants) apply only
 #: inside these prefixes.  The prefix match deliberately covers every
 #: ``repro.service`` submodule, including the process backend
-#: (``repro.service.procworker``, ``repro.service.shm``), so new serving
-#: modules are under both gates the moment they are created.
+#: (``repro.service.procworker``), so new serving modules are under both
+#: gates the moment they are created.
 THREADED_MODULES: Tuple[str, ...] = ("repro.service",)
 
 #: Dotted modules allowed to read the monotonic clock directly.  OBS001

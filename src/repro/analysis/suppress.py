@@ -182,10 +182,3 @@ def apply_suppressions(
             )
     return active, suppressed, meta
 
-
-def iter_rule_ids(suppressions: Iterable[Suppression]) -> FrozenSet[str]:
-    """The union of rule ids referenced by a collection of suppressions."""
-    rules: set = set()
-    for suppression in suppressions:
-        rules |= suppression.rules
-    return frozenset(rules)

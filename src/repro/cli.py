@@ -955,8 +955,7 @@ def build_parser() -> argparse.ArgumentParser:
             choices=["thread", "process"],
             default=None,
             help="worker backend: threads (shared heap) or one process per "
-            "shard with shared-memory arrangements "
-            "(default: REPRO_SERVICE_BACKEND, else thread)",
+            "shard (default: REPRO_SERVICE_BACKEND, else thread)",
         )
         parser.add_argument(
             "--stats-interval",

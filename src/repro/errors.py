@@ -94,6 +94,7 @@ class ServiceError(ReproError):
     different shards, when a bounded shard queue rejects a submission
     (explicit backpressure), when a worker thread or worker *process* died
     mid-run (the error names the dead shard instead of letting submitters
-    hang), when a shared-memory arrangement mirror is unreadable, or when
-    a load generator is configured inconsistently.
+    hang), when a process shard's arrangement is read before the drain
+    shipped it home, or when a load generator is configured
+    inconsistently.
     """

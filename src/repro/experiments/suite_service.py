@@ -188,8 +188,8 @@ def run_e13_service_latency(
             "backend=thread serializes pure-Python compute under the GIL, "
             "so shard scaling shows mainly through smaller per-shard "
             "arrangements; backend=process forks one interpreter per shard "
-            "(requests over bounded multiprocessing queues, arrangements "
-            "published via shared memory), removing the GIL ceiling at the "
+            "(requests over bounded multiprocessing queues), removing the "
+            "GIL ceiling at the "
             "price of per-request IPC.  Near-linear process scaling needs "
             f"one core per shard; this run saw {_available_cores()} "
             "schedulable core(s), so single-core hosts measure only the "

@@ -44,16 +44,6 @@ class Band:
     maximum: Tuple[float, ...]
     num_traces: int
 
-    @property
-    def final_mean(self) -> float:
-        """Mean of the population's final cumulative value."""
-        return self.mean[-1]
-
-    @property
-    def final_spread(self) -> Tuple[float, float]:
-        """(min, max) of the population's final cumulative value."""
-        return self.minimum[-1], self.maximum[-1]
-
 
 def cost_bands(
     aligned_or_traces: Union[AlignedTraces, Sequence[CostTrace]],

@@ -6,11 +6,13 @@ component-aligned shards, micro-batched into rearrangement passes, and
 answered with per-request latency and cost accounting.  Workers run on one
 of two interchangeable backends — ``thread`` (one thread per shard, shared
 heap) or ``process`` (one forked interpreter per shard, bounded
-multiprocessing queues, shared-memory arrangement mirrors) — selected via
-``backend=`` / ``--backend`` / ``REPRO_SERVICE_BACKEND``; served costs are
-bit-identical across backends.  Every worker aggregates its latency and
-queue-wait observations into :mod:`repro.obs` fixed-bucket histograms
-(:mod:`repro.service.observation`), so the default serving path runs at
+multiprocessing queues) — selected via ``backend=`` / ``--backend`` /
+``REPRO_SERVICE_BACKEND``.  Both run the same serving loop,
+:func:`~repro.service.broker.serve_shard`, so served costs are
+bit-identical across backends.  Every worker aggregates its latency,
+queue-wait and utilization observations into one
+:class:`~repro.service.observation.ShardMetrics` with :mod:`repro.obs`
+fixed-bucket histograms, so the default serving path runs at
 O(buckets) memory — per-request retention and exact percentiles are the
 opt-in (``retain_results=True`` / ``--retain-requests``), and
 :func:`run_scenario_soak` streams scenarios in cycles indefinitely on the
@@ -24,7 +26,6 @@ from repro.service.broker import (
     BACKENDS,
     ArrangementService,
     ServeResult,
-    WorkerStats,
 )
 from repro.service.engine import ServeRecord, ShardEngine, ShardReport
 from repro.service.loadgen import (
@@ -62,7 +63,6 @@ from repro.service.partition import (
     partition_components,
     reveal_partition,
 )
-from repro.service.shm import SharedArrangementMirror
 
 __all__ = [
     "ArrangementService",
@@ -79,11 +79,9 @@ __all__ = [
     "ShardMetricsSnapshot",
     "ShardPartition",
     "ShardReport",
-    "SharedArrangementMirror",
     "SoakCheckpoint",
     "SoakReport",
     "StatsReporter",
-    "WorkerStats",
     "build_reveal_service",
     "build_traffic_service",
     "discover_stream_partition",

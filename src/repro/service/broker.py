@@ -9,11 +9,11 @@ workers never coordinate and never contend on engine state.
 **Backends**: workers run either as threads (``backend="thread"``, the
 default — one shared heap, zero startup cost, serialized by the GIL) or as
 processes (``backend="process"``, :mod:`repro.service.procworker` — one
-interpreter per shard, requests over bounded ``multiprocessing`` queues,
-arrangements published through shared memory).  Both backends serve each
-shard's requests in submission order through the same batching rules, so
-served cost totals are bit-identical across backends (experiment E14 gates
-on exact equality); only the timing columns differ.
+interpreter per shard, requests over bounded ``multiprocessing`` queues).
+Both backends run the same loop, :func:`serve_shard`, over each shard's
+requests in submission order, so served cost totals are bit-identical
+across backends (experiment E14 gates on exact equality); only the timing
+columns differ.
 
 **Backpressure** is explicit: queues are bounded by ``queue_capacity``;
 :meth:`ArrangementService.submit` blocks until the shard has room (the
@@ -35,9 +35,9 @@ then vary across runs; the determinism tests use the default).
 
 Timing: every request records queue time (enqueue to batch start), service
 time (its batch's rearrangement pass) and total latency; every worker
-records its queue-depth high-water mark and busy fraction
-(:class:`WorkerStats`).  Costs never depend on these measurements — they
-are observability, not semantics.
+records its queue-depth high-water mark and busy fraction in its
+:class:`~repro.service.observation.ShardMetrics`.  Costs never depend on
+these measurements — they are observability, not semantics.
 """
 
 from __future__ import annotations
@@ -65,8 +65,6 @@ Request = Tuple[Node, Node]
 #: Worker backends :class:`ArrangementService` can run.
 BACKENDS: Tuple[str, ...] = ("thread", "process")
 
-_SENTINEL = object()
-
 
 @dataclass(frozen=True)
 class ServeResult:
@@ -88,54 +86,139 @@ class ServeResult:
     """How many requests shared this rearrangement pass."""
 
 
-@dataclass(frozen=True)
-class WorkerStats:
-    """One shard worker's utilization counters (observability, not semantics).
+def serve_shard(
+    engine: ShardEngine,
+    requests,
+    batch_size: int,
+    batch_timeout: Optional[float],
+    metrics: ShardMetrics,
+    spans: Optional[SpanCollector] = None,
+    emit: Optional[Callable[[List[ServeResult]], None]] = None,
+    after_batch: Optional[Callable[[], None]] = None,
+) -> None:
+    """One shard's serving loop, shared by the thread and process backends.
 
-    ``queue_peak`` is the queue-depth high-water mark observed at batch
-    openings (queued items plus the one just dequeued), so it reports how
-    deep backpressure actually stacked; ``busy_seconds`` is time spent
-    inside rearrangement passes, and ``busy_fraction`` relates it to the
-    worker's lifetime — the where-does-time-go number that separates a
-    compute-bound backend from one waiting on arrivals.
+    ``requests`` is the shard's bounded ``queue.Queue`` (threads) or
+    ``multiprocessing.Queue`` (processes) of ``(request_index, pair,
+    enqueued_at)`` tuples, ended by a ``None`` sentinel — object identity
+    does not survive a pipe, so the sentinel cannot be an ``object()``.
+    Each batch opens with the first queued request and pulls until it holds
+    ``batch_size`` requests, the sentinel arrives, or ``batch_timeout``
+    elapses after the batch opened; it is then served as one
+    :meth:`~repro.service.engine.ShardEngine.serve_batch` pass.
+
+    Every batch feeds ``metrics`` (histograms, queue-depth high-water mark,
+    busy time) and, for sampled requests, ``spans``; ``emit`` (when given)
+    receives the batch's :class:`ServeResult` list and ``after_batch`` (when
+    given) runs last.  On failure the loop keeps consuming its queue until
+    the sentinel — a bounded queue nobody drains would block every later
+    submit instead of reaching the drain that reports the error — and then
+    re-raises.
     """
-
-    shard_index: int
-    num_batches: int
-    queue_peak: int
-    busy_seconds: float
-    lifetime_seconds: float
-
-    @property
-    def busy_fraction(self) -> float:
-        """Share of the worker's lifetime spent serving batches."""
-        if self.lifetime_seconds <= 0.0:
-            return 0.0
-        return min(self.busy_seconds / self.lifetime_seconds, 1.0)
-
-
-@dataclass
-class _QueueItem:
-    request_index: int
-    pair: Request
-    enqueued_at: float
+    metrics.started_at = monotonic_now()
+    shard_index = engine.shard_index
+    get = requests.get
+    sentinel_seen = False
+    try:
+        while True:
+            item = get()
+            if item is None:
+                sentinel_seen = True
+                return
+            try:
+                depth = requests.qsize() + 1
+            except NotImplementedError:  # pragma: no cover - macOS qsize
+                depth = 1
+            metrics.observe_depth(depth)
+            opened = monotonic_now()
+            batch = [item]
+            deadline = None
+            if batch_timeout is not None:
+                deadline = monotonic_now() + batch_timeout
+            while len(batch) < batch_size:
+                if deadline is None:
+                    item = get()
+                else:
+                    remaining = deadline - monotonic_now()
+                    if remaining <= 0:
+                        break
+                    try:
+                        item = get(timeout=remaining)
+                    except queue.Empty:
+                        break
+                if item is None:
+                    sentinel_seen = True
+                    break
+                batch.append(item)
+            started = monotonic_now()
+            records = engine.serve_batch([pair for _, pair, _ in batch])
+            finished = monotonic_now()
+            # repro: allow[obs002] — per-batch service latency feeds the shard histograms, not a zone
+            service_seconds = finished - started
+            metrics.observe_batch(
+                queue_seconds=[started - enqueued_at for _, _, enqueued_at in batch],
+                latency_seconds=[
+                    finished - enqueued_at for _, _, enqueued_at in batch
+                ],
+                num_reveals=sum(1 for record in records if record.revealed),
+                service_seconds=service_seconds,
+            )
+            if emit is not None:
+                emit(
+                    [
+                        ServeResult(
+                            request_index=index,
+                            pair=pair,
+                            shard=shard_index,
+                            revealed=record.revealed,
+                            migration_swaps=record.migration_swaps,
+                            communication_cost=record.communication_cost,
+                            queue_seconds=started - enqueued_at,
+                            service_seconds=service_seconds,
+                            latency_seconds=finished - enqueued_at,
+                            batch_size=len(batch),
+                        )
+                        for (index, pair, enqueued_at), record in zip(
+                            batch, records
+                        )
+                    ]
+                )
+            if spans is not None:
+                replied = monotonic_now()
+                for index, _, enqueued_at in batch:
+                    # Per-shard indices are monotone, so one integer
+                    # compare skips every unsampled request.
+                    if index >= spans.next_interesting and spans.wants(index):
+                        spans.record_raw(
+                            index,
+                            shard_index,
+                            enqueued_at,
+                            opened,
+                            started,
+                            finished,
+                            replied,
+                        )
+            if after_batch is not None:
+                after_batch()
+            if sentinel_seen:
+                return
+    except BaseException:
+        # Skipped when the failure came after the sentinel was consumed.
+        while not sentinel_seen:
+            if get() is None:
+                break
+        raise
+    finally:
+        metrics.finished_at = monotonic_now()
 
 
 class _ShardWorker(threading.Thread):
-    """One shard's consumer: drain the queue in micro-batches, serve, record."""
+    """The thread backend's shard worker: :func:`serve_shard` on a thread."""
 
     #: Cross-thread contract (enforced by THR001): attributes the worker
     #: thread writes.  All are single-writer — the worker publishes, the
     #: control thread reads them only after ``join()`` in ``drain()``.
-    _shared = (
-        "error",
-        "results",
-        "_sentinel_seen",
-        "queue_peak",
-        "busy_seconds",
-        "_started_at_seconds",
-        "_finished_at_seconds",
-    )
+    _shared = ("error", "results")
 
     def __init__(
         self,
@@ -159,144 +242,30 @@ class _ShardWorker(threading.Thread):
         self._retain_results = retain_results
         self.metrics = metrics
         self.spans = spans
-        self._sentinel_seen = False
         self.results: List[ServeResult] = []
         self.error: Optional[BaseException] = None
-        self.queue_peak = 0
-        self.busy_seconds = 0.0
-        self._started_at_seconds: Optional[float] = None
-        self._finished_at_seconds: Optional[float] = None
 
     def run(self) -> None:
-        self._started_at_seconds = monotonic_now()
+        needs_results = self._retain_results or self._on_result is not None
         try:
-            self._serve_forever()
+            serve_shard(
+                self._engine,
+                self._queue,
+                self._batch_size,
+                self._batch_timeout,
+                self.metrics,
+                self.spans,
+                emit=self._emit if needs_results else None,
+            )
         except BaseException as error:  # noqa: BLE001 - reported at drain()
             self.error = error
-            # Keep consuming (and discarding) the queue until the sentinel:
-            # a dead worker must not leave its bounded queue full, or every
-            # later submit() would block forever instead of reaching the
-            # drain() that re-raises this error.  Skipped when the engine
-            # died serving the final batch — the sentinel is already gone.
-            while not self._sentinel_seen:
-                if self._queue.get() is _SENTINEL:
-                    break
-        finally:
-            self._finished_at_seconds = monotonic_now()
 
-    def stats(self) -> WorkerStats:
-        """The worker's utilization counters (final once the thread joined)."""
-        started = self._started_at_seconds
-        finished = self._finished_at_seconds
-        if started is None:
-            lifetime_seconds = 0.0
-        elif finished is None:
-            lifetime_seconds = monotonic_now() - started
-        else:
-            lifetime_seconds = finished - started
-        return WorkerStats(
-            shard_index=self._engine.shard_index,
-            num_batches=self._engine.report().num_batches,
-            queue_peak=self.queue_peak,
-            busy_seconds=self.busy_seconds,
-            lifetime_seconds=lifetime_seconds,
-        )
-
-    def _collect_batch(self, first: _QueueItem) -> "Tuple[List[_QueueItem], bool]":
-        """Pull up to ``batch_size`` items; returns ``(batch, saw_sentinel)``."""
-        batch = [first]
-        deadline = (
-            None
-            if self._batch_timeout is None
-            else monotonic_now() + self._batch_timeout
-        )
-        while len(batch) < self._batch_size:
-            if deadline is None:
-                item = self._queue.get()
-            else:
-                remaining = deadline - monotonic_now()
-                if remaining <= 0:
-                    return batch, False
-                try:
-                    item = self._queue.get(timeout=remaining)
-                except queue.Empty:
-                    return batch, False
-            if item is _SENTINEL:
-                self._sentinel_seen = True
-                return batch, True
-            batch.append(item)
-        return batch, False
-
-    def _observe_depth(self) -> None:
-        """Record the queue depth at a batch opening (high-water tracking)."""
-        try:
-            depth = self._queue.qsize() + 1
-        except NotImplementedError:  # pragma: no cover - exotic platforms
-            depth = 1
-        if depth > self.queue_peak:
-            self.queue_peak = depth
-
-    def _serve_forever(self) -> None:
-        build_results = self._retain_results or self._on_result is not None
-        while True:
-            item = self._queue.get()
-            if item is _SENTINEL:
-                self._sentinel_seen = True
-                return
-            self._observe_depth()
-            opened = monotonic_now()
-            batch, saw_sentinel = self._collect_batch(item)
-            started = monotonic_now()
-            records = self._engine.serve_batch([entry.pair for entry in batch])
-            finished = monotonic_now()
-            # repro: allow[obs002] — per-batch service latency feeds the shard histograms, not a zone
-            service_seconds = finished - started
-            self.busy_seconds += service_seconds
-            self.metrics.observe_batch(
-                queue_seconds=[started - entry.enqueued_at for entry in batch],
-                latency_seconds=[
-                    finished - entry.enqueued_at for entry in batch
-                ],
-                num_reveals=sum(1 for record in records if record.revealed),
-            )
-            if build_results:
-                for entry, record in zip(batch, records):
-                    result = ServeResult(
-                        request_index=entry.request_index,
-                        pair=entry.pair,
-                        shard=self._engine.shard_index,
-                        revealed=record.revealed,
-                        migration_swaps=record.migration_swaps,
-                        communication_cost=record.communication_cost,
-                        queue_seconds=started - entry.enqueued_at,
-                        service_seconds=service_seconds,
-                        latency_seconds=finished - entry.enqueued_at,
-                        batch_size=len(batch),
-                    )
-                    if self._retain_results:
-                        self.results.append(result)
-                    if self._on_result is not None:
-                        self._on_result(result)
-            if self.spans is not None:
-                replied = monotonic_now()
-                spans = self.spans
-                for entry in batch:
-                    # Per-shard indices are monotone, so one integer
-                    # compare skips every unsampled request.
-                    if entry.request_index >= spans.next_interesting and spans.wants(
-                        entry.request_index
-                    ):
-                        spans.record_raw(
-                            entry.request_index,
-                            self._engine.shard_index,
-                            entry.enqueued_at,
-                            opened,
-                            started,
-                            finished,
-                            replied,
-                        )
-            if saw_sentinel:
-                return
+    def _emit(self, served: List[ServeResult]) -> None:
+        if self._retain_results:
+            self.results.extend(served)
+        if self._on_result is not None:
+            for result in served:
+                self._on_result(result)
 
 
 class _ThreadFleet:
@@ -305,8 +274,9 @@ class _ThreadFleet:
     The fleet owns the per-shard bounded queues and the worker threads and
     exposes the backend contract the :class:`ArrangementService` dispatcher
     drives: ``start`` / ``submit`` / ``try_submit`` / ``drain`` /
-    ``shard_reports`` / ``worker_stats`` / ``shard_arrangement`` /
-    ``close``.  :class:`~repro.service.procworker.ProcessShardFleet` is the
+    ``shard_reports`` / ``metrics_snapshots`` / ``span_traces`` /
+    ``shard_arrangement`` / ``close``.
+    :class:`~repro.service.procworker.ProcessShardFleet` is the
     process-backed implementation of the same contract.
     """
 
@@ -351,9 +321,7 @@ class _ThreadFleet:
         for worker in self._workers:
             worker.start()
 
-    def submit(
-        self, shard: int, item: _QueueItem, timeout: Optional[float]
-    ) -> None:
+    def submit(self, shard: int, item: Tuple, timeout: Optional[float]) -> None:
         try:
             self._queues[shard].put(item, timeout=timeout)
         except queue.Full:
@@ -362,7 +330,7 @@ class _ThreadFleet:
                 f"(queue capacity {self._queue_capacity})"
             ) from None
 
-    def try_submit(self, shard: int, item: _QueueItem) -> bool:
+    def try_submit(self, shard: int, item: Tuple) -> bool:
         try:
             self._queues[shard].put_nowait(item)
         except queue.Full:
@@ -373,7 +341,7 @@ class _ThreadFleet:
         if not self._drain_started:
             self._drain_started = True
             for shard_queue in self._queues:
-                shard_queue.put(_SENTINEL)
+                shard_queue.put(None)
             for worker in self._workers:
                 worker.join()
         for worker in self._workers:
@@ -389,9 +357,6 @@ class _ThreadFleet:
 
     def shard_reports(self) -> List[ShardReport]:
         return [engine.report() for engine in self._engines]
-
-    def worker_stats(self) -> "Tuple[WorkerStats, ...]":
-        return tuple(worker.stats() for worker in self._workers)
 
     def metrics_snapshots(self) -> "Tuple[ShardMetricsSnapshot, ...]":
         # Threads share the heap: snapshots read the live single-writer
@@ -432,8 +397,7 @@ class ArrangementService:
         service.close()              # release backend resources
 
     ``backend`` selects the worker runtime: ``"thread"`` (default) shares
-    the parent heap, ``"process"`` forks one interpreter per shard and
-    publishes arrangements through shared memory
+    the parent heap, ``"process"`` forks one interpreter per shard
     (:mod:`repro.service.procworker`).  Served cost totals are identical
     either way.  ``on_result`` (when given) is invoked for every completed
     request — the hook closed-loop load generators use to release their
@@ -578,11 +542,10 @@ class ArrangementService:
         """Release backend resources (idempotent).
 
         Thread backend: a no-op.  Process backend: reaps any still-running
-        worker processes and unlinks every shard's shared-memory segment —
-        after ``close()`` the deployment holds no kernel objects.  Reports,
-        results and worker stats collected by an earlier :meth:`drain`
-        remain readable; :meth:`shard_arrangement` does not (its segments
-        are gone).
+        worker processes and closes the request and result queues — after
+        ``close()`` the deployment holds no child processes.  Reports,
+        results, metrics and shard arrangements collected by an earlier
+        :meth:`drain` remain readable.
         """
         if not self._closed:
             self._closed = True
@@ -611,17 +574,13 @@ class ArrangementService:
         also surfaces here as a :class:`ServiceError` naming the shard.
         """
         shard, index = self._route(pair)
-        self._fleet.submit(
-            shard, _QueueItem(index, pair, monotonic_now()), timeout
-        )
+        self._fleet.submit(shard, (index, pair, monotonic_now()), timeout)
         return index
 
     def try_submit(self, pair: Request) -> Optional[int]:
         """Enqueue one request or return ``None`` when the shard queue is full."""
         shard, index = self._route(pair)
-        if not self._fleet.try_submit(
-            shard, _QueueItem(index, pair, monotonic_now())
-        ):
+        if not self._fleet.try_submit(shard, (index, pair, monotonic_now())):
             return None
         return index
 
@@ -653,9 +612,9 @@ class ArrangementService:
         """
         return self._fleet.shard_reports()
 
-    def worker_stats(self) -> "Tuple[WorkerStats, ...]":
-        """Per-shard :class:`WorkerStats`, in shard order (final after drain)."""
-        return self._fleet.worker_stats()
+    def worker_stats(self) -> "Tuple[ShardMetricsSnapshot, ...]":
+        """Per-shard ``queue_peak``/``busy_fraction``: :meth:`metrics_snapshots`."""
+        return self.metrics_snapshots()
 
     def metrics_snapshots(self) -> "Tuple[ShardMetricsSnapshot, ...]":
         """Per-shard O(buckets) metrics snapshots, in shard order.
@@ -678,14 +637,12 @@ class ArrangementService:
     def shard_arrangement(self, shard: int) -> Arrangement:
         """One shard's current served arrangement.
 
-        Thread backend: the live engine's arrangement.  Process backend: a
-        zero-copy read of the shard's shared-memory mirror — consistent via
-        the seqlock protocol, with no pickling and no worker round trip.
+        Thread backend: the live engine's arrangement.  Process backend:
+        the final arrangement the worker shipped home with :meth:`drain`;
+        before the drain it raises :class:`ServiceError`.
         """
         if not 0 <= shard < len(self._engines):
             raise ServiceError(
                 f"shard {shard} out of range for {len(self._engines)} shard(s)"
             )
-        if self._closed:
-            raise ServiceError("the service is closed")
         return self._fleet.shard_arrangement(shard)

@@ -133,7 +133,6 @@ class ShardEngine:
             )
         self.shard_index = shard_index
         self._nodes = tuple(nodes)
-        self._local_index = {node: index for index, node in enumerate(self._nodes)}
         self._kind = kind
         arrangement = (
             initial_arrangement
@@ -281,18 +280,6 @@ class ShardEngine:
     def current_arrangement(self) -> Arrangement:
         """The learner's live arrangement over the shard's nodes."""
         return self._learner.current_arrangement
-
-    def arrangement_order_indices(self) -> List[int]:
-        """The current arrangement as shard-local node indices, by position.
-
-        The flat-int form the process backend publishes into its
-        :class:`~repro.service.shm.SharedArrangementMirror`: entry ``p`` is
-        the index (into :attr:`nodes`) of the node at position ``p``.
-        """
-        index_of = self._local_index
-        return [
-            index_of[node] for node in self._learner.current_arrangement.order
-        ]
 
     def report(self) -> ShardReport:
         """The shard's aggregate cost summary so far."""

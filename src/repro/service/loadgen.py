@@ -425,7 +425,7 @@ def run_scenario_loadgen(
                 wall_seconds,
                 batch_size,
                 backend=backend,
-                worker_stats=service.worker_stats(),
+                worker_stats=snapshot.shards,
             )
         else:
             summary = summarize_snapshot(
@@ -434,13 +434,13 @@ def run_scenario_loadgen(
                 wall_seconds,
                 batch_size,
                 backend=backend,
-                worker_stats=service.worker_stats(),
+                worker_stats=snapshot.shards,
             )
         span_traces = service.span_traces()
     finally:
         if reporter is not None:
             reporter.stop()
-        # Backend resources (worker processes, shared-memory segments) must
+        # Backend resources (worker processes, their queues) must
         # never outlive the run, even when driving it raised.
         service.close()
     if retain_requests:
@@ -715,7 +715,7 @@ def run_scenario_soak(
             max(wall_seconds, 1e-9),
             batch_size,
             backend=backend,
-            worker_stats=service.worker_stats(),
+            worker_stats=snapshot.shards,
         )
         span_traces = service.span_traces()
     finally:

@@ -27,9 +27,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.errors import ServiceError
 from repro.experiments.tables import ResultTable
 from repro.obs.registry import HistogramSnapshot
-from repro.service.broker import ServeResult, WorkerStats
+from repro.service.broker import ServeResult
 from repro.service.engine import ShardReport
-from repro.service.observation import FleetSnapshot
+from repro.service.observation import FleetSnapshot, ShardMetricsSnapshot
 
 #: The latency quantiles every summary reports.
 QUANTILES = (0.50, 0.95, 0.99)
@@ -79,7 +79,7 @@ class ServiceSummary:
     """Migration plus communication — deterministic, unlike the timings."""
     backend: str = "thread"
     """Which worker backend served the run (``thread`` or ``process``)."""
-    shard_stats: "Tuple[WorkerStats, ...]" = field(default_factory=tuple)
+    shard_stats: "Tuple[ShardMetricsSnapshot, ...]" = field(default_factory=tuple)
     """Per-shard queue-depth high-water marks and busy fractions."""
     latency_source: str = "exact"
     """Where the quantiles came from: ``exact`` (retained per-request
@@ -263,7 +263,7 @@ def summarize_results(
     wall_seconds: float,
     batch_size: int,
     backend: str = "thread",
-    worker_stats: Sequence[WorkerStats] = (),
+    worker_stats: Sequence[ShardMetricsSnapshot] = (),
 ) -> ServiceSummary:
     """Reduce a drained run to its :class:`ServiceSummary`.
 
@@ -306,7 +306,7 @@ def summarize_snapshot(
     wall_seconds: float,
     batch_size: int,
     backend: str = "thread",
-    worker_stats: Sequence[WorkerStats] = (),
+    worker_stats: Sequence[ShardMetricsSnapshot] = (),
 ) -> ServiceSummary:
     """Reduce a fleet metrics snapshot to a :class:`ServiceSummary`.
 

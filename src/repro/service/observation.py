@@ -1,8 +1,9 @@
 """Per-shard serving metrics and the live fleet view, built on :mod:`repro.obs`.
 
 Each shard worker owns one :class:`ShardMetrics` — two fixed-bucket
-histograms (total latency and queue wait) plus request/reveal/batch
-counters — and updates it once per served request.  That is the whole
+histograms (total latency and queue wait), request/reveal/batch counters
+and the worker's utilization (queue-depth high-water mark, busy and
+lifetime seconds) — and updates it once per served batch.  That is the whole
 memory story of the default (non-retained) serving path: O(buckets) per
 shard, no matter how many requests flow.  Workers are the only writers;
 readers take :meth:`ShardMetrics.snapshot` copies (the process backend
@@ -45,6 +46,20 @@ class ShardMetricsSnapshot:
     """Total per-request latency (enqueue to batch completion), seconds."""
     queue_wait: HistogramSnapshot
     """The queue-wait component of the same requests, seconds."""
+    queue_peak: int
+    """Queue-depth high-water mark at batch openings (queued items plus the
+    one just dequeued): how deep backpressure actually stacked."""
+    busy_seconds: float
+    """Time spent inside rearrangement passes."""
+    lifetime_seconds: float
+    """The worker's lifetime so far (final once it stopped)."""
+
+    @property
+    def busy_fraction(self) -> float:
+        """Share of the worker's lifetime spent serving batches."""
+        if self.lifetime_seconds <= 0.0:
+            return 0.0
+        return min(self.busy_seconds / self.lifetime_seconds, 1.0)
 
     @classmethod
     def empty(
@@ -60,6 +75,9 @@ class ShardMetricsSnapshot:
             num_batches=0,
             latency=blank,
             queue_wait=blank,
+            queue_peak=0,
+            busy_seconds=0.0,
+            lifetime_seconds=0.0,
         )
 
 
@@ -85,12 +103,22 @@ class ShardMetrics:
         self.num_requests = 0
         self.num_reveals = 0
         self.num_batches = 0
+        self.queue_peak = 0
+        self.busy_seconds = 0.0
+        self.started_at: Optional[float] = None
+        self.finished_at: Optional[float] = None
+
+    def observe_depth(self, depth: int) -> None:
+        """Record the queue depth at a batch opening (high-water tracking)."""
+        if depth > self.queue_peak:
+            self.queue_peak = depth
 
     def observe_batch(
         self,
         queue_seconds: Sequence[float],
         latency_seconds: Sequence[float],
         num_reveals: int,
+        service_seconds: float = 0.0,
     ) -> None:
         """Absorb one served micro-batch (one entry per request)."""
         for value in queue_seconds:
@@ -100,8 +128,15 @@ class ShardMetrics:
         self.num_requests += len(latency_seconds)
         self.num_reveals += num_reveals
         self.num_batches += 1
+        self.busy_seconds += service_seconds
 
     def snapshot(self) -> ShardMetricsSnapshot:
+        lifetime_seconds = 0.0
+        if self.started_at is not None:
+            finished = self.finished_at
+            if finished is None:
+                finished = monotonic_now()
+            lifetime_seconds = finished - self.started_at
         return ShardMetricsSnapshot(
             shard_index=self.shard_index,
             num_requests=self.num_requests,
@@ -109,6 +144,9 @@ class ShardMetrics:
             num_batches=self.num_batches,
             latency=self.latency.snapshot(),
             queue_wait=self.queue_wait.snapshot(),
+            queue_peak=self.queue_peak,
+            busy_seconds=self.busy_seconds,
+            lifetime_seconds=lifetime_seconds,
         )
 
 
@@ -170,7 +208,8 @@ def fleet_metrics(
 
     This is what ``--metrics-out`` (Prometheus text) and
     ``--metrics-jsonl`` render: counters for requests/reveals/batches, the
-    two fleet histograms, and utilization gauges from the worker stats.
+    two fleet histograms, and utilization gauges from the per-shard
+    snapshots passed as ``worker_stats``.
     """
     metrics: Dict[str, MetricValue] = {
         "requests_served_total": snapshot.num_requests,
@@ -258,10 +297,9 @@ class StatsReporter(threading.Thread):
 
     def _emit_line(self) -> None:
         snapshot = self._service.fleet_snapshot()
-        stats = self._service.worker_stats()
         # repro: allow[obs002] — the live stats line reports fleet uptime, not a zone
         elapsed = monotonic_now() - self._started_at
-        self._emit(format_stats_line(snapshot, stats, elapsed))
+        self._emit(format_stats_line(snapshot, snapshot.shards, elapsed))
         self.num_emitted += 1
 
     def run(self) -> None:

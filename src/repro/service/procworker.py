@@ -7,26 +7,24 @@ the GIL stops being the ceiling, so shardable scenarios can use one core
 per shard.  The moving parts, per shard:
 
 * a bounded ``multiprocessing.Queue`` of request tuples
-  ``(request_index, pair, enqueued_at)`` — same capacity, same explicit
-  backpressure semantics as the thread backend's ``queue.Queue``,
-* the worker process (:func:`_worker_main`): the exact batching loop of the
-  thread worker (deterministic batch composition with ``batch_timeout=None``),
-  publishing each revealing batch's arrangement into the shard's
-  :class:`~repro.service.shm.SharedArrangementMirror`,
+  ``(request_index, pair, enqueued_at)`` ended by a ``None`` sentinel —
+  same capacity, same explicit backpressure semantics as the thread
+  backend's ``queue.Queue``,
+* the worker process (:func:`_worker_main`), a thin wrapper around the
+  broker's :func:`~repro.service.broker.serve_shard` — the one serving loop
+  both backends run (deterministic batch composition with
+  ``batch_timeout=None``),
 * a bounded result queue carrying one ``("results", [...])`` message per
   served batch (amortized IPC — skipped entirely in the non-retained O(1)
   memory mode when no ``on_result`` hook needs them), periodic
   ``("metrics", snapshot)`` ships for live introspection, then
   ``("error", ...)`` on engine failure and finally
-  ``("done", report, stats, metrics, spans, work)`` — ``work`` being the
-  process's deterministic work-counter delta (:mod:`repro.obs.profile`),
+  ``("done", report, metrics, spans, work, arrangement)`` — ``work`` being
+  the process's deterministic work-counter delta (:mod:`repro.obs.profile`)
+  and ``arrangement`` the shard's final served arrangement,
 * a collector thread in the broker process that drains the result queue,
   fires ``on_result`` hooks, and notices a worker that died without saying
   goodbye.
-
-The sentinel is ``None`` — object identity does not survive a queue hop
-between processes, so the thread backend's ``_SENTINEL = object()`` trick
-cannot work here.
 
 **Determinism**: engines cross the fork bit-for-bit (no pickling on fork
 platforms), each shard's learner keeps drawing only from its
@@ -43,9 +41,8 @@ raise a :class:`~repro.errors.ServiceError` naming the dead shard instead
 of blocking forever, and ``drain()`` reports it too.
 
 **Shutdown** is deterministic: sentinels flush every queue, workers flush
-their result queues before exiting, processes are joined with a timeout
-and terminated (then killed) if unresponsive — no orphans — and ``close()``
-unlinks every shared-memory segment.
+their result queues before exiting, and processes are joined with a
+timeout and terminated (then killed) if unresponsive — no orphans.
 """
 
 from __future__ import annotations
@@ -60,10 +57,9 @@ from repro.errors import ServiceError
 from repro.obs.clock import now as monotonic_now
 from repro.obs.profile import add_work, work_delta, work_snapshot
 from repro.obs.spans import SpanCollector, SpanSampler, SpanTrace
-from repro.service.broker import ServeResult, WorkerStats, _QueueItem
+from repro.service.broker import ServeResult, serve_shard
 from repro.service.engine import ShardEngine, ShardReport
 from repro.service.observation import ShardMetrics, ShardMetricsSnapshot
-from repro.service.shm import SharedArrangementMirror
 
 #: Liveness-polling interval for blocking queue operations against a worker
 #: process: every slice we re-check the process is still alive, so a dead
@@ -79,7 +75,6 @@ def _worker_main(
     engine: ShardEngine,
     requests: "multiprocessing.queues.Queue",
     results: "multiprocessing.queues.Queue",
-    mirror: SharedArrangementMirror,
     batch_size: int,
     batch_timeout: Optional[float],
     ship_results: bool = True,
@@ -87,174 +82,89 @@ def _worker_main(
     span_max: int = 256,
     metrics_interval: Optional[float] = None,
 ) -> None:
-    """One shard's serving loop, run inside the forked worker process.
+    """One shard's worker process: :func:`serve_shard` plus the result pipe.
 
-    Mirrors the thread worker's batching exactly; publishes the
-    arrangement after every revealing batch; aggregates into a local
-    :class:`ShardMetrics` and (with ``ship_results=False``, the O(1)
-    memory mode) ships *no* per-batch result messages — only periodic
-    ``("metrics", snapshot)`` messages every ``metrics_interval`` seconds
-    for live introspection.  Always ends with a
-    ``("done", report, stats, metrics, spans, work)`` goodbye so the
-    collector knows a missing one means the process died.
+    Ships each batch's results (unless ``ship_results=False``, the O(1)
+    memory mode), a ``("metrics", snapshot)`` message every
+    ``metrics_interval`` seconds for live introspection, and always ends
+    with a ``("done", report, metrics, spans, work, arrangement)`` goodbye
+    so the collector knows a missing one means the process died.
     """
-    started_at_seconds = monotonic_now()
     # Deltas, not snapshots: the fork inherits the parent's (and any stale
     # thread's) counter registries, and diffing before/after cancels that
     # inheritance exactly — only work done in this process ships home.
     work_before = work_snapshot()
-    busy_seconds = 0.0
-    queue_peak = 0
-    num_batches = 0
-    sentinel_seen = False
     metrics = ShardMetrics(engine.shard_index)
     spans = (
         None
         if span_sampler is None or span_sampler.rate <= 0.0
         else SpanCollector(span_sampler, span_max)
     )
-    last_shipped_at = started_at_seconds
+    after_batch = None
+    if metrics_interval is not None:
+        last_shipped_at = monotonic_now()
 
-    def collect_batch(first: Tuple) -> "Tuple[List[Tuple], bool]":
-        nonlocal sentinel_seen
-        batch = [first]
-        deadline = (
-            None if batch_timeout is None else monotonic_now() + batch_timeout
-        )
-        while len(batch) < batch_size:
-            if deadline is None:
-                item = requests.get()
-            else:
-                remaining = deadline - monotonic_now()
-                if remaining <= 0:
-                    return batch, False
-                try:
-                    item = requests.get(timeout=remaining)
-                except queue.Empty:
-                    return batch, False
-            if item is None:
-                sentinel_seen = True
-                return batch, True
-            batch.append(item)
-        return batch, False
+        def ship_metrics() -> None:
+            nonlocal last_shipped_at
+            shipped_at = monotonic_now()
+            if shipped_at - last_shipped_at >= metrics_interval:
+                last_shipped_at = shipped_at
+                results.put(("metrics", metrics.snapshot()))
+
+        after_batch = ship_metrics
+
+    def emit(served: List[ServeResult]) -> None:
+        results.put(("results", served))
 
     try:
-        while True:
-            item = requests.get()
-            if item is None:
-                sentinel_seen = True
-                break
-            try:
-                depth = requests.qsize() + 1
-            except NotImplementedError:  # pragma: no cover - macOS qsize
-                depth = 1
-            if depth > queue_peak:
-                queue_peak = depth
-            opened = monotonic_now()
-            batch, saw_sentinel = collect_batch(item)
-            started = monotonic_now()
-            records = engine.serve_batch([pair for _, pair, _ in batch])
-            finished = monotonic_now()
-            # repro: allow[obs002] — per-batch service latency feeds the shard histograms, not a zone
-            service_seconds = finished - started
-            busy_seconds += service_seconds
-            num_batches += 1
-            metrics.observe_batch(
-                queue_seconds=[
-                    started - enqueued_at for _, _, enqueued_at in batch
-                ],
-                latency_seconds=[
-                    finished - enqueued_at for _, _, enqueued_at in batch
-                ],
-                num_reveals=sum(1 for record in records if record.revealed),
-            )
-            if any(record.revealed for record in records):
-                mirror.write(engine.arrangement_order_indices())
-            if ship_results:
-                served = [
-                    ServeResult(
-                        request_index=index,
-                        pair=pair,
-                        shard=engine.shard_index,
-                        revealed=record.revealed,
-                        migration_swaps=record.migration_swaps,
-                        communication_cost=record.communication_cost,
-                        queue_seconds=started - enqueued_at,
-                        service_seconds=service_seconds,
-                        latency_seconds=finished - enqueued_at,
-                        batch_size=len(batch),
-                    )
-                    for (index, pair, enqueued_at), record in zip(
-                        batch, records
-                    )
-                ]
-                results.put(("results", served))
-            if spans is not None:
-                replied = monotonic_now()
-                for index, _, enqueued_at in batch:
-                    # Per-shard indices are monotone, so one integer
-                    # compare skips every unsampled request.
-                    if index >= spans.next_interesting and spans.wants(index):
-                        spans.record_raw(
-                            index,
-                            engine.shard_index,
-                            enqueued_at,
-                            opened,
-                            started,
-                            finished,
-                            replied,
-                        )
-            if metrics_interval is not None:
-                shipped_at = monotonic_now()
-                if shipped_at - last_shipped_at >= metrics_interval:
-                    last_shipped_at = shipped_at
-                    results.put(("metrics", metrics.snapshot()))
-            if saw_sentinel:
-                break
+        serve_shard(
+            engine,
+            requests,
+            batch_size,
+            batch_timeout,
+            metrics,
+            spans,
+            emit=emit if ship_results else None,
+            after_batch=after_batch,
+        )
     except BaseException as error:  # noqa: BLE001 - reported at drain()
         results.put(("error", type(error).__name__, str(error)))
-        # Same obligation as the thread worker: a failed shard must keep
-        # its bounded queue moving until the sentinel, or every later
-        # submit() would block on a queue nobody will ever drain.
-        while not sentinel_seen:
-            if requests.get() is None:
-                break
     finally:
-        stats = WorkerStats(
-            shard_index=engine.shard_index,
-            num_batches=num_batches,
-            queue_peak=queue_peak,
-            busy_seconds=busy_seconds,
-            # repro: allow[obs002] — worker lifetime is a reported stat, not a zone
-            lifetime_seconds=monotonic_now() - started_at_seconds,
-        )
         results.put(
             (
                 "done",
                 engine.report(),
-                stats,
                 metrics.snapshot(),
                 () if spans is None else spans.traces(),
                 work_delta(work_before, work_snapshot()),
+                engine.current_arrangement,
             )
         )
-        mirror.close()  # drops the child's inherited mapping, never unlinks
 
 
 class _ResultCollector(threading.Thread):
     """Drains one shard's result queue in the broker process.
 
     Fires ``on_result`` for every served request, remembers the shard's
-    final report and stats from the worker's goodbye message, and — when
-    the queue goes quiet and the process is no longer alive — records the
-    death instead of waiting forever.
+    final report, metrics and arrangement from the worker's goodbye
+    message, and — when the queue goes quiet and the process is no longer
+    alive — records the death instead of waiting forever.
     """
 
     #: Cross-thread contract (enforced by THR001): single-writer fields the
     #: collector publishes; the control thread reads them after ``join()``
     #: (``live_metrics`` is also read mid-run by the stats reporter — a
     #: single reference assignment, atomic under the GIL).
-    _shared = ("results", "report", "stats", "failure", "metrics", "spans", "work", "live_metrics")
+    _shared = (
+        "results",
+        "report",
+        "failure",
+        "metrics",
+        "spans",
+        "work",
+        "arrangement",
+        "live_metrics",
+    )
 
     def __init__(
         self,
@@ -274,11 +184,11 @@ class _ResultCollector(threading.Thread):
         self._retain_results = retain_results
         self.results: List[ServeResult] = []
         self.report: Optional[ShardReport] = None
-        self.stats: Optional[WorkerStats] = None
         self.failure: Optional[str] = None
         self.metrics: Optional[ShardMetricsSnapshot] = None
         self.spans: "Tuple[SpanTrace, ...]" = ()
         self.work: "dict[str, int]" = {}
+        self.arrangement: Optional[Arrangement] = None
         self.live_metrics: Optional[ShardMetricsSnapshot] = None
 
     def run(self) -> None:
@@ -312,10 +222,10 @@ class _ResultCollector(threading.Thread):
                 self.failure = f"{message[1]}: {message[2]}"
             else:  # "done"
                 self.report = message[1]
-                self.stats = message[2]
-                self.metrics = message[3]
-                self.spans = tuple(message[4])
-                self.work = dict(message[5])
+                self.metrics = message[2]
+                self.spans = tuple(message[3])
+                self.work = dict(message[4])
+                self.arrangement = message[5]
                 return
 
 
@@ -345,22 +255,9 @@ class ProcessShardFleet:
         self._queue_capacity = queue_capacity
         self._drain_started = False
         self._reports: Optional[List[ShardReport]] = None
-        self._stats: Optional[Tuple[WorkerStats, ...]] = None
         self._results: Optional[List[ServeResult]] = None
         self._failures: List[str] = []
         self._closed = False
-        self._mirrors: List[SharedArrangementMirror] = []
-        try:
-            for engine in self._engines:
-                mirror = SharedArrangementMirror(
-                    len(engine.nodes), engine.shard_index
-                )
-                mirror.write(engine.arrangement_order_indices())
-                self._mirrors.append(mirror)
-        except BaseException:
-            for mirror in self._mirrors:
-                mirror.close()
-            raise
         self._request_queues = [
             multiprocessing.Queue(maxsize=queue_capacity) for _ in self._engines
         ]
@@ -377,7 +274,6 @@ class ProcessShardFleet:
                     engine,
                     request_queue,
                     result_queue,
-                    mirror,
                     batch_size,
                     batch_timeout,
                     ship_results,
@@ -388,11 +284,8 @@ class ProcessShardFleet:
                 name=f"repro-serve-proc-{engine.shard_index}",
                 daemon=True,
             )
-            for engine, request_queue, result_queue, mirror in zip(
-                self._engines,
-                self._request_queues,
-                self._result_queues,
-                self._mirrors,
+            for engine, request_queue, result_queue in zip(
+                self._engines, self._request_queues, self._result_queues
             )
         ]
         self._collectors = [
@@ -428,10 +321,7 @@ class ProcessShardFleet:
                 f"(exit code {process.exitcode}); drain() has the details"
             )
 
-    def submit(
-        self, shard: int, item: _QueueItem, timeout: Optional[float]
-    ) -> None:
-        message = (item.request_index, item.pair, item.enqueued_at)
+    def submit(self, shard: int, item: Tuple, timeout: Optional[float]) -> None:
         deadline = None if timeout is None else monotonic_now() + timeout
         while True:
             # Poll in slices so a worker that dies with a full queue turns
@@ -448,16 +338,15 @@ class ProcessShardFleet:
                     )
                 slice_seconds = min(_POLL_SECONDS, remaining)
             try:
-                self._request_queues[shard].put(message, timeout=slice_seconds)
+                self._request_queues[shard].put(item, timeout=slice_seconds)
                 return
             except queue.Full:
                 continue
 
-    def try_submit(self, shard: int, item: _QueueItem) -> bool:
+    def try_submit(self, shard: int, item: Tuple) -> bool:
         self._check_alive(shard)
-        message = (item.request_index, item.pair, item.enqueued_at)
         try:
-            self._request_queues[shard].put_nowait(message)
+            self._request_queues[shard].put_nowait(item)
         except queue.Full:
             return False
         return True
@@ -498,7 +387,6 @@ class ProcessShardFleet:
                 collector.join()
             self._reap()
             reports: List[ShardReport] = []
-            stats: List[WorkerStats] = []
             results: List[ServeResult] = []
             for shard, collector in enumerate(self._collectors):
                 results.extend(collector.results)
@@ -514,20 +402,8 @@ class ProcessShardFleet:
                     if collector.report is not None
                     else self._engines[shard].report()
                 )
-                stats.append(
-                    collector.stats
-                    if collector.stats is not None
-                    else WorkerStats(
-                        shard_index=shard,
-                        num_batches=0,
-                        queue_peak=0,
-                        busy_seconds=0.0,
-                        lifetime_seconds=0.0,
-                    )
-                )
             results.sort(key=lambda result: result.request_index)
             self._reports = reports
-            self._stats = tuple(stats)
             self._results = results
         if self._failures:
             raise ServiceError("; ".join(self._failures))
@@ -538,20 +414,6 @@ class ProcessShardFleet:
         if self._reports is not None:
             return list(self._reports)
         return [engine.report() for engine in self._engines]
-
-    def worker_stats(self) -> "Tuple[WorkerStats, ...]":
-        if self._stats is not None:
-            return self._stats
-        return tuple(
-            WorkerStats(
-                shard_index=engine.shard_index,
-                num_batches=0,
-                queue_peak=0,
-                busy_seconds=0.0,
-                lifetime_seconds=0.0,
-            )
-            for engine in self._engines
-        )
 
     def metrics_snapshots(self) -> "Tuple[ShardMetricsSnapshot, ...]":
         # Final snapshots arrive with the goodbye message; before that the
@@ -579,9 +441,13 @@ class ProcessShardFleet:
         return tuple(traces)
 
     def shard_arrangement(self, shard: int) -> Arrangement:
-        order, _ = self._mirrors[shard].read()
-        nodes = self._engines[shard].nodes
-        return Arrangement([nodes[node_index] for node_index in order])
+        arrangement = self._collectors[shard].arrangement
+        if arrangement is None:
+            raise ServiceError(
+                f"shard {shard}'s arrangement lives in its worker process "
+                "until drain() ships it home"
+            )
+        return arrangement
 
     def close(self) -> None:
         if self._closed:
@@ -597,5 +463,3 @@ class ProcessShardFleet:
         for result_queue in self._result_queues:
             result_queue.cancel_join_thread()
             result_queue.close()
-        for mirror in self._mirrors:
-            mirror.close()

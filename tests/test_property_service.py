@@ -1,0 +1,127 @@
+"""Property test: thread serving ≡ process serving ≡ sequential serving.
+
+Both worker backends run one serving loop
+(:func:`repro.service.broker.serve_shard`).  With ``batch_timeout=None``
+batch composition depends only on each shard's request order, so for any
+stream, batch size, shard count and queue capacity both backends must serve
+every request with the cost outcome a plain sequential loop of
+:meth:`~repro.service.engine.ShardEngine.serve_batch` calls produces, end
+with the same shard totals, and leave every shard in the same arrangement.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.service import (
+    BACKENDS,
+    ShardEngine,
+    build_traffic_service,
+    discover_stream_partition,
+    learner_factory,
+    shard_rng,
+)
+from repro.vnet.topology import LinearDatacenter
+from repro.workloads.registry import get_scenario
+
+NUM_NODES = 24
+NUM_REQUESTS = 120
+
+
+def _sequential(stream, requests, partition, seed, batch_size):
+    """Serve each shard's requests in order, ``batch_size`` at a time."""
+    engines = [
+        ShardEngine(
+            shard_index=index,
+            nodes=nodes,
+            kind=stream.kind,
+            learner_factory=learner_factory(stream.kind, "rand"),
+            rng=shard_rng(seed, index),
+            datacenter=LinearDatacenter(len(nodes)),
+        )
+        for index, nodes in enumerate(partition.shard_nodes)
+    ]
+    per_shard = [[] for _ in engines]
+    for index, pair in enumerate(requests):
+        per_shard[partition.shard_of_pair(*pair)].append((index, pair))
+    outcomes = {}
+    for engine, items in zip(engines, per_shard):
+        for start in range(0, len(items), batch_size):
+            batch = items[start : start + batch_size]
+            records = engine.serve_batch([pair for _, pair in batch])
+            for (index, pair), record in zip(batch, records):
+                outcomes[index] = (
+                    index,
+                    pair,
+                    engine.shard_index,
+                    record.revealed,
+                    record.migration_swaps,
+                    record.communication_cost,
+                    len(batch),
+                )
+    return (
+        [outcomes[index] for index in range(len(requests))],
+        [engine.report() for engine in engines],
+        [engine.current_arrangement.order for engine in engines],
+    )
+
+
+def _served(stream, requests, partition, seed, batch_size, capacity, backend):
+    service = build_traffic_service(
+        stream,
+        seed=seed,
+        batch_size=batch_size,
+        batch_timeout=None,
+        queue_capacity=capacity,
+        partition=partition,
+        backend=backend,
+    )
+    try:
+        service.start()
+        for pair in requests:
+            service.submit(pair)
+        results = service.drain()
+        return (
+            [
+                (
+                    result.request_index,
+                    result.pair,
+                    result.shard,
+                    result.revealed,
+                    result.migration_swaps,
+                    result.communication_cost,
+                    result.batch_size,
+                )
+                for result in results
+            ],
+            service.shard_reports(),
+            [
+                service.shard_arrangement(shard).order
+                for shard in range(service.num_shards)
+            ],
+        )
+    finally:
+        service.close()
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    scenario=st.sampled_from(["zipf-tenants", "uniform-cliques"]),
+    seed=st.integers(min_value=0, max_value=2**16),
+    batch_size=st.integers(min_value=1, max_value=8),
+    shards=st.integers(min_value=1, max_value=3),
+    capacity=st.integers(min_value=1, max_value=16),
+)
+def test_backends_match_sequential_serving(
+    scenario, seed, batch_size, shards, capacity
+):
+    stream = get_scenario(scenario).request_stream(NUM_NODES, NUM_REQUESTS, seed)
+    requests = list(stream)
+    partition = discover_stream_partition(stream, shards)
+    reference = _sequential(stream, requests, partition, seed, batch_size)
+    for backend in BACKENDS:
+        served = _served(
+            stream, requests, partition, seed, batch_size, capacity, backend
+        )
+        assert served[0] == reference[0], backend
+        assert served[1] == reference[1], backend
+        assert served[2] == reference[2], backend

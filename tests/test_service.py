@@ -12,14 +12,14 @@ The load-bearing guarantees:
 * **Partitioning** — component-aligned, deterministic, total.
 * **Backpressure** — bounded queues reject/block explicitly.
 * **Backend equivalence** — the process-backed fleet (one forked worker
-  per shard, arrangements published through shared memory) serves the same
-  costs bit for bit as the thread-backed fleet, applies the same
-  backpressure, names its dead shard instead of hanging, and leaves no
-  shared-memory segments or orphan processes behind after ``close()``.
+  per shard) serves the same costs bit for bit as the thread-backed fleet,
+  applies the same backpressure and failure handling, names its dead shard
+  instead of hanging, and leaves no orphan processes behind after
+  ``close()``.
 """
 
-import glob
 import os
+import queue
 import random
 import signal
 import threading
@@ -32,11 +32,11 @@ from repro.core.rand_cliques import RandomizedCliqueLearner
 from repro.core.simulator import run_online
 from repro.errors import ServiceError
 from repro.graphs.reveal import GraphKind
+from repro.obs.clock import now as monotonic_now
 from repro.service import (
     BACKENDS,
     ArrangementService,
     ShardEngine,
-    SharedArrangementMirror,
     build_reveal_service,
     build_traffic_service,
     discover_stream_partition,
@@ -48,7 +48,9 @@ from repro.service import (
     shard_rng,
     summarize_results,
 )
+from repro.service.broker import serve_shard
 from repro.service.loadgen import learner_factory
+from repro.service.observation import ShardMetrics
 from repro.vnet.controller import DemandAwareController
 from repro.vnet.topology import LinearDatacenter
 from repro.workloads.registry import get_scenario
@@ -229,43 +231,196 @@ class TestOfflineEquivalence:
 # ----------------------------------------------------------------------
 # Broker mechanics
 # ----------------------------------------------------------------------
-class TestBrokerMechanics:
-    def _engine(self, nodes=(0, 1, 2, 3)):
-        return ShardEngine(
-            shard_index=0,
-            nodes=nodes,
-            kind=GraphKind.CLIQUES,
-            learner_factory=RandomizedCliqueLearner,
-            rng=random.Random(0),
-            datacenter=LinearDatacenter(len(nodes)),
-        )
+def _engine(nodes=(0, 1, 2, 3)):
+    return ShardEngine(
+        shard_index=0,
+        nodes=nodes,
+        kind=GraphKind.CLIQUES,
+        learner_factory=RandomizedCliqueLearner,
+        rng=random.Random(0),
+        datacenter=LinearDatacenter(len(nodes)),
+    )
 
-    def _partition(self):
-        return partition_components([[0, 1, 2, 3]], [0, 1, 2, 3], 1)
 
-    def test_try_submit_reports_backpressure(self):
+def _partition():
+    return partition_components([[0, 1, 2, 3]], [0, 1, 2, 3], 1)
+
+
+def _exploding_engine(message):
+    """An engine whose serve path raises (instance attributes cross the fork)."""
+    engine = _engine()
+
+    def explode(pairs):
+        raise RuntimeError(message)
+
+    engine.serve_batch = explode
+    return engine
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestFleetMechanics:
+    """Backpressure and failure handling, identical on both backends."""
+
+    def test_try_submit_reports_backpressure(self, backend):
         service = ArrangementService(
-            [self._engine()],
-            self._partition(),
+            [_engine()], _partition(), queue_capacity=2, backend=backend
+        )
+        try:
+            # Workers not started: the bounded queue fills and stays full.
+            service._started = True  # submit() guards on lifecycle, not workers
+            assert service.try_submit((0, 1)) is not None
+            assert service.try_submit((0, 2)) is not None
+            time.sleep(0.1)  # let an mp feeder thread settle the queue size
+            assert service.try_submit((0, 3)) is None
+        finally:
+            service._started = False
+            service.close()
+
+    def test_submit_timeout_raises_service_error(self, backend):
+        service = ArrangementService(
+            [_engine()], _partition(), queue_capacity=1, backend=backend
+        )
+        try:
+            service._started = True
+            service.submit((0, 1))
+            time.sleep(0.1)
+            with pytest.raises(ServiceError, match="backpressure"):
+                service.submit((0, 2), timeout=0.2)
+        finally:
+            service._started = False
+            service.close()
+
+    def test_worker_failure_surfaces_at_drain(self, backend):
+        service = ArrangementService(
+            [_exploding_engine("shard died")], _partition(), backend=backend
+        ).start()
+        try:
+            service.submit((0, 1))
+            with pytest.raises(ServiceError, match="shard .*shard died"):
+                service.drain()
+        finally:
+            service.close()
+
+    def test_dead_worker_does_not_deadlock_producers(self, backend):
+        # A worker that failed must keep draining its bounded queue until
+        # the sentinel, so blocking submits past the queue capacity still
+        # complete and the failure surfaces at drain() instead of hanging
+        # the producer.
+        service = ArrangementService(
+            [_exploding_engine("shard died early")],
+            _partition(),
             queue_capacity=2,
-        )
-        # Workers not started: the bounded queue fills and stays full.
-        service._started = True  # submit() guards on lifecycle, not workers
-        assert service.try_submit((0, 1)) is not None
-        assert service.try_submit((0, 2)) is not None
-        assert service.try_submit((0, 3)) is None
+            backend=backend,
+        ).start()
+        try:
+            for _ in range(20):  # far beyond the queue capacity
+                service.submit((0, 1), timeout=5.0)
+            with pytest.raises(ServiceError, match="shard died early"):
+                service.drain()
+        finally:
+            service.close()
 
-    def test_submit_timeout_raises_service_error(self):
+
+    def test_worker_stats_are_the_metrics_snapshots(self, backend):
         service = ArrangementService(
-            [self._engine()], self._partition(), queue_capacity=1
-        )
-        service._started = True
-        service.submit((0, 1))
-        with pytest.raises(ServiceError, match="backpressure"):
-            service.submit((0, 2), timeout=0.01)
+            [_engine()], _partition(), batch_size=2, backend=backend
+        ).start()
+        try:
+            for pair in [(0, 1), (1, 2), (2, 3)]:
+                service.submit(pair)
+            service.drain()
+            stats = service.worker_stats()
+            assert stats == service.metrics_snapshots()
+            assert stats[0].num_requests == 3
+            assert stats[0].queue_peak >= 1
+            assert 0.0 <= stats[0].busy_fraction <= 1.0
+        finally:
+            service.close()
 
+
+# ----------------------------------------------------------------------
+# The shared serving loop, driven directly on a plain queue
+# ----------------------------------------------------------------------
+class TestServeShard:
+    def _queue(self, pairs, sentinel=True):
+        requests = queue.Queue()
+        for index, pair in enumerate(pairs):
+            requests.put((index, pair, monotonic_now()))
+        if sentinel:
+            requests.put(None)
+        return requests
+
+    def test_batches_fill_to_size_and_stop_at_the_sentinel(self):
+        pairs = [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)]
+        requests = self._queue(pairs)
+        metrics = ShardMetrics(0)
+        emitted = []
+        after = []
+        serve_shard(
+            _engine(),
+            requests,
+            batch_size=2,
+            batch_timeout=None,
+            metrics=metrics,
+            emit=emitted.append,
+            after_batch=lambda: after.append(len(emitted)),
+        )
+        assert [len(batch) for batch in emitted] == [2, 2, 1]
+        assert [r.batch_size for batch in emitted for r in batch] == [2, 2, 2, 2, 1]
+        served = [(r.request_index, r.pair) for batch in emitted for r in batch]
+        assert served == list(enumerate(pairs))
+        # after_batch runs once per batch, after that batch was emitted.
+        assert after == [1, 2, 3]
+        snapshot = metrics.snapshot()
+        assert (snapshot.num_requests, snapshot.num_batches) == (5, 3)
+        # First opening: four requests and the sentinel still queued, plus
+        # the request just dequeued.
+        assert snapshot.queue_peak == 6
+        assert 0.0 <= snapshot.busy_seconds <= snapshot.lifetime_seconds
+        assert 0.0 <= snapshot.busy_fraction <= 1.0
+
+    def test_batch_timeout_closes_a_partial_batch(self):
+        requests = self._queue([(0, 1)], sentinel=False)
+        emitted = []
+
+        def emit(results):
+            emitted.append(results)
+            requests.put(None)  # end the loop once the first batch closed
+
+        serve_shard(
+            _engine(),
+            requests,
+            batch_size=4,
+            batch_timeout=0.01,
+            metrics=ShardMetrics(0),
+            emit=emit,
+        )
+        assert [len(batch) for batch in emitted] == [1]
+
+    def test_failure_consumes_the_queue_to_the_sentinel_then_reraises(self):
+        requests = self._queue([(0, 1), (1, 2), (2, 3)])
+        straggler = (99, (0, 1), monotonic_now())
+        requests.put(straggler)  # queued after the sentinel: must stay put
+        metrics = ShardMetrics(0)
+        emitted = []
+        with pytest.raises(RuntimeError, match="loop died"):
+            serve_shard(
+                _exploding_engine("loop died"),
+                requests,
+                batch_size=1,
+                batch_timeout=None,
+                metrics=metrics,
+                emit=emitted.append,
+            )
+        assert emitted == []
+        assert requests.get_nowait() == straggler
+        assert requests.empty()
+        assert metrics.finished_at is not None
+
+
+class TestBrokerMechanics:
     def test_submit_before_start_rejected(self):
-        service = ArrangementService([self._engine()], self._partition())
+        service = ArrangementService([_engine()], _partition())
         with pytest.raises(ServiceError):
             service.submit((0, 1))
 
@@ -273,36 +428,6 @@ class TestBrokerMechanics:
         report = _serve_stream("zipf-tenants", 24, 300, 0, 3, 4)
         indices = [result.request_index for result in report.results]
         assert indices == list(range(len(report.results)))
-
-    def test_worker_failure_surfaces_at_drain(self):
-        engine = self._engine()
-
-        def explode(pairs):
-            raise RuntimeError("shard died")
-
-        engine.serve_batch = explode
-        service = ArrangementService([engine], self._partition()).start()
-        service.submit((0, 1))
-        with pytest.raises(ServiceError, match="shard died"):
-            service.drain()
-
-    def test_dead_worker_does_not_deadlock_producers(self):
-        # A worker that died must keep draining its bounded queue, so
-        # blocking submits past the queue capacity still complete and the
-        # failure surfaces at drain() instead of hanging the producer.
-        engine = self._engine()
-
-        def explode(pairs):
-            raise RuntimeError("shard died early")
-
-        engine.serve_batch = explode
-        service = ArrangementService(
-            [engine], self._partition(), queue_capacity=2
-        ).start()
-        for _ in range(20):  # far beyond the queue capacity
-            service.submit((0, 1), timeout=5.0)
-        with pytest.raises(ServiceError, match="shard died early"):
-            service.drain()
 
     def test_context_manager_drains(self):
         stream = get_scenario("zipf-tenants").request_stream(16, 100, 0)
@@ -315,13 +440,13 @@ class TestBrokerMechanics:
 
     def test_engine_count_must_match_partition(self):
         with pytest.raises(ServiceError):
-            ArrangementService([self._engine()], partition_components(
+            ArrangementService([_engine()], partition_components(
                 [[0, 1], [2, 3]], [0, 1, 2, 3], 2
             ))
 
     def test_invalid_batch_and_queue_parameters_rejected(self):
-        engine = self._engine()
-        partition = self._partition()
+        engine = _engine()
+        partition = _partition()
         with pytest.raises(ServiceError):
             ArrangementService([engine], partition, batch_size=0)
         with pytest.raises(ServiceError):
@@ -490,7 +615,7 @@ class TestShardEngine:
 
 
 # ----------------------------------------------------------------------
-# Process backend: bit-identity, backpressure, failure, cleanup
+# Process backend: bit-identity, liveness, cleanup
 # ----------------------------------------------------------------------
 def _cost_outcome(result):
     """The deterministic slice of a ServeResult (timings excluded)."""
@@ -506,19 +631,6 @@ def _cost_outcome(result):
 
 
 class TestProcessBackend:
-    def _engine(self, nodes=(0, 1, 2, 3)):
-        return ShardEngine(
-            shard_index=0,
-            nodes=nodes,
-            kind=GraphKind.CLIQUES,
-            learner_factory=RandomizedCliqueLearner,
-            rng=random.Random(0),
-            datacenter=LinearDatacenter(len(nodes)),
-        )
-
-    def _partition(self):
-        return partition_components([[0, 1, 2, 3]], [0, 1, 2, 3], 1)
-
     @pytest.mark.parametrize("shards", [1, 3])
     def test_backends_serve_identical_outcomes(self, shards):
         # Same scenario, seed, shards and batch ⇒ the thread- and
@@ -549,84 +661,9 @@ class TestProcessBackend:
             assert report.summary.total_cost == offline.total_cost
             assert report.backend == backend
 
-    def test_process_try_submit_reports_backpressure(self):
-        service = ArrangementService(
-            [self._engine()],
-            self._partition(),
-            queue_capacity=2,
-            backend="process",
-        )
-        try:
-            # Workers not started: the bounded request pipe fills and the
-            # third submission is rejected, exactly like the thread backend.
-            service._started = True
-            assert service.try_submit((0, 1)) is not None
-            assert service.try_submit((0, 2)) is not None
-            time.sleep(0.1)  # let the mp feeder thread settle the queue size
-            assert service.try_submit((0, 3)) is None
-        finally:
-            service._started = False
-            service.close()
-
-    def test_process_submit_timeout_raises_service_error(self):
-        service = ArrangementService(
-            [self._engine()],
-            self._partition(),
-            queue_capacity=1,
-            backend="process",
-        )
-        try:
-            service._started = True
-            service.submit((0, 1))
-            time.sleep(0.1)
-            with pytest.raises(ServiceError, match="backpressure"):
-                service.submit((0, 2), timeout=0.2)
-        finally:
-            service._started = False
-            service.close()
-
-    def test_crashed_worker_surfaces_at_drain(self):
-        engine = self._engine()
-
-        def explode(pairs):
-            raise RuntimeError("shard died in the child")
-
-        # Instance attributes cross the fork, so the child's serve path
-        # raises; the parent must get a ServiceError naming shard 0.
-        engine.serve_batch = explode
-        service = ArrangementService(
-            [engine], self._partition(), backend="process"
-        ).start()
-        try:
-            service.submit((0, 1))
-            with pytest.raises(ServiceError, match="shard 0.*shard died in the child"):
-                service.drain()
-        finally:
-            service.close()
-
-    def test_crashed_worker_does_not_deadlock_producers(self):
-        engine = self._engine()
-
-        def explode(pairs):
-            raise RuntimeError("shard died early")
-
-        engine.serve_batch = explode
-        service = ArrangementService(
-            [engine], self._partition(), queue_capacity=2, backend="process"
-        ).start()
-        try:
-            # The failed child keeps draining its bounded pipe until the
-            # sentinel, so submits far beyond capacity still complete.
-            for _ in range(20):
-                service.submit((0, 1), timeout=5.0)
-            with pytest.raises(ServiceError, match="shard died early"):
-                service.drain()
-        finally:
-            service.close()
-
     def test_killed_worker_raises_instead_of_hanging(self):
         service = ArrangementService(
-            [self._engine()], self._partition(), queue_capacity=1, backend="process"
+            [_engine()], _partition(), queue_capacity=1, backend="process"
         ).start()
         try:
             process = service._fleet._processes[0]
@@ -645,36 +682,37 @@ class TestProcessBackend:
             service.close()
         assert not service._fleet._processes[0].is_alive()
 
-    def test_close_leaves_no_shm_and_no_orphans(self):
-        report = None
+    def test_close_leaves_no_orphans(self):
         service = build_traffic_service(
             get_scenario("zipf-tenants").request_stream(16, 50, 0),
             num_shards=2,
             backend="process",
         )
-        names = [mirror.name for mirror in service._fleet._mirrors]
-        assert names  # the fleet actually created shared-memory mirrors
-        for name in names:
-            assert os.path.exists(f"/dev/shm/{name}")
         with service:
             service.start()
             for pair in get_scenario("zipf-tenants").request_stream(16, 50, 0):
                 service.submit(pair)
-        # Context exit drained and closed: segments unlinked, workers reaped.
-        for name in names:
-            assert not os.path.exists(f"/dev/shm/{name}")
+        # Context exit drained and closed: every worker is reaped.
         assert all(not p.is_alive() for p in service._fleet._processes)
 
-    def test_no_repro_shm_segments_leak_across_a_run(self):
-        before = set(glob.glob("/dev/shm/repro-shm-*"))
-        _serve_stream("uniform-cliques", 16, 100, 0, 2, 4, "process")
-        after = set(glob.glob("/dev/shm/repro-shm-*"))
-        assert after <= before
+    def test_shard_arrangement_needs_a_drain(self):
+        # The process backend's arrangements live in the workers until the
+        # drain ships them home; an earlier read is an error, not stale data.
+        service = ArrangementService([_engine()], _partition(), backend="process")
+        try:
+            service.start()
+            service.submit((0, 1))
+            with pytest.raises(ServiceError, match="drain"):
+                service.shard_arrangement(0)
+            service.drain()
+            assert service.shard_arrangement(0).nodes == frozenset(range(4))
+        finally:
+            service.close()
 
     def test_shard_arrangement_matches_thread_backend(self):
-        # The parent's zero-copy view of each shard's arrangement (read
-        # from shared memory) must equal the arrangement the thread
-        # backend's engines hold after the identical workload.
+        # The arrangement each process worker ships home at the drain must
+        # equal the arrangement the thread backend's engines hold after the
+        # identical workload.
         arrangements = {}
         for backend in BACKENDS:
             service = build_traffic_service(
@@ -710,59 +748,6 @@ class TestProcessBackend:
         assert summary.max_queue_peak >= 1
         assert f"backend={backend}" in summary.to_text()
         assert "queue peak" in summary.to_text()
-
-
-# ----------------------------------------------------------------------
-# Shared-memory arrangement mirror
-# ----------------------------------------------------------------------
-class TestSharedArrangementMirror:
-    def test_write_read_roundtrip(self):
-        mirror = SharedArrangementMirror(num_nodes=5)
-        try:
-            mirror.write([3, 1, 4, 0, 2])
-            order, position = mirror.read()
-            assert order == [3, 1, 4, 0, 2]
-            # position is the inverse permutation of order.
-            assert [order[p] for p in ([position[i] for i in range(5)])] == [
-                0,
-                1,
-                2,
-                3,
-                4,
-            ]
-        finally:
-            mirror.close()
-
-    def test_attached_reader_sees_writes(self):
-        owner = SharedArrangementMirror(num_nodes=4)
-        try:
-            owner.write([2, 0, 3, 1])
-            reader = SharedArrangementMirror(num_nodes=4, name=owner.name)
-            try:
-                order, _ = reader.read()
-                assert order == [2, 0, 3, 1]
-                owner.write([0, 1, 2, 3])
-                order, _ = reader.read()
-                assert order == [0, 1, 2, 3]
-            finally:
-                reader.close()
-        finally:
-            owner.close()
-
-    def test_close_unlinks_the_segment(self):
-        mirror = SharedArrangementMirror(num_nodes=3)
-        name = mirror.name
-        assert os.path.exists(f"/dev/shm/{name}")
-        mirror.close()
-        assert not os.path.exists(f"/dev/shm/{name}")
-
-    def test_wrong_length_write_rejected(self):
-        mirror = SharedArrangementMirror(num_nodes=3)
-        try:
-            with pytest.raises(ServiceError):
-                mirror.write([0, 1])
-        finally:
-            mirror.close()
 
 
 # ----------------------------------------------------------------------
