@@ -943,7 +943,7 @@ def build_parser() -> argparse.ArgumentParser:
             "(default: wait for a full batch — deterministic cost totals)",
         )
         parser.add_argument("--queue-capacity", type=int, default=1024,
-                            help="bounded per-shard queue size (backpressure limit)")
+                            help="bounded per-shard queue size in requests (backpressure limit)")
         parser.add_argument(
             "--algorithm",
             choices=["rand", "move-smaller", "det"],

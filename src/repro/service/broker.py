@@ -15,13 +15,23 @@ requests in submission order, so served cost totals are bit-identical
 across backends (experiment E14 gates on exact equality); only the timing
 columns differ.
 
-**Backpressure** is explicit: queues are bounded by ``queue_capacity``;
+**Queue items** are lists of ``(request_index, pair, enqueued_at)``
+entries, ended by a ``None`` sentinel.  With ``batch_timeout=None`` the
+service buffers each shard's entries under its submit lock and ships one
+list per full batch (``drain()`` flushes the partial buffers before the
+sentinels), so a batch crosses its queue as one put — on the process
+backend one pickled message instead of ``batch_size``.  With a finite
+``batch_timeout`` every list holds one entry, so arrival-driven batching
+sees each request as it comes.
+
+**Backpressure** is explicit: ``queue_capacity`` counts requests (a
+buffered queue holds ``max(1, queue_capacity // batch_size)`` lists);
 :meth:`ArrangementService.submit` blocks until the shard has room (the
 closed-loop shape — latency absorbs overload) while
 :meth:`ArrangementService.try_submit` returns ``None`` immediately (the
 open-loop shape — the caller decides whether to shed or retry).
 
-**Micro-batching**: a worker opens a batch with the first queued request
+**Micro-batching**: a worker opens a batch with the first queued list
 and keeps pulling until it holds ``batch_size`` requests, then serves all
 of them as one rearrangement pass (one embedding refresh, one slot-map
 rebuild — the amortization lever of E13).  With ``batch_timeout=None`` (the
@@ -35,7 +45,7 @@ then vary across runs; the determinism tests use the default).
 
 Timing: every request records queue time (enqueue to batch start), service
 time (its batch's rearrangement pass) and total latency; every worker
-records its queue-depth high-water mark and busy fraction in its
+records its queue-depth high-water mark (in requests) and busy fraction in its
 :class:`~repro.service.observation.ShardMetrics`.  Costs never depend on
 these measurements — they are observability, not semantics.
 """
@@ -64,6 +74,23 @@ Request = Tuple[Node, Node]
 
 #: Worker backends :class:`ArrangementService` can run.
 BACKENDS: Tuple[str, ...] = ("thread", "process")
+
+#: One queue item: the ``(request_index, pair, enqueued_at)`` entries of one
+#: submission (one entry) or of one buffered batch (up to ``batch_size``).
+Entries = List[Tuple[int, Request, float]]
+
+
+def queue_slots(
+    queue_capacity: int, batch_size: int, batch_timeout: Optional[float]
+) -> int:
+    """How many queue items hold ``queue_capacity`` requests.
+
+    Buffered submission (``batch_timeout=None``) ships ``batch_size``
+    entries per item; with a batch timeout every item is one request.
+    """
+    if batch_timeout is not None:
+        return queue_capacity
+    return max(1, queue_capacity // batch_size)
 
 
 @dataclass(frozen=True)
@@ -99,13 +126,15 @@ def serve_shard(
     """One shard's serving loop, shared by the thread and process backends.
 
     ``requests`` is the shard's bounded ``queue.Queue`` (threads) or
-    ``multiprocessing.Queue`` (processes) of ``(request_index, pair,
-    enqueued_at)`` tuples, ended by a ``None`` sentinel — object identity
-    does not survive a pipe, so the sentinel cannot be an ``object()``.
-    Each batch opens with the first queued request and pulls until it holds
+    ``multiprocessing.Queue`` (processes) of entry lists (see
+    :data:`Entries`), ended by a ``None`` sentinel — object identity does
+    not survive a pipe, so the sentinel cannot be an ``object()``.  Each
+    batch opens with the first queued list and pulls lists until it holds
     ``batch_size`` requests, the sentinel arrives, or ``batch_timeout``
     elapses after the batch opened; it is then served as one
-    :meth:`~repro.service.engine.ShardEngine.serve_batch` pass.
+    :meth:`~repro.service.engine.ShardEngine.serve_batch` pass.  The queue
+    depth is observed in requests: the queued items times the size of the
+    one that opened the batch.
 
     Every batch feeds ``metrics`` (histograms, queue-depth high-water mark,
     busy time) and, for sampled requests, ``spans``; ``emit`` (when given)
@@ -126,12 +155,12 @@ def serve_shard(
                 sentinel_seen = True
                 return
             try:
-                depth = requests.qsize() + 1
+                depth = (requests.qsize() + 1) * len(item)
             except NotImplementedError:  # pragma: no cover - macOS qsize
-                depth = 1
+                depth = len(item)
             metrics.observe_depth(depth)
             opened = monotonic_now()
-            batch = [item]
+            batch = list(item)
             deadline = None
             if batch_timeout is not None:
                 deadline = monotonic_now() + batch_timeout
@@ -149,7 +178,7 @@ def serve_shard(
                 if item is None:
                     sentinel_seen = True
                     break
-                batch.append(item)
+                batch.extend(item)
             started = monotonic_now()
             records = engine.serve_batch([pair for _, pair, _ in batch])
             finished = monotonic_now()
@@ -273,7 +302,8 @@ class _ThreadFleet:
 
     The fleet owns the per-shard bounded queues and the worker threads and
     exposes the backend contract the :class:`ArrangementService` dispatcher
-    drives: ``start`` / ``submit`` / ``try_submit`` / ``drain`` /
+    drives: ``start`` / ``submit`` / ``try_submit`` / ``drain`` (which
+    first ships each shard's flushed entry lists, then its sentinel) /
     ``shard_reports`` / ``metrics_snapshots`` / ``span_traces`` /
     ``shard_arrangement`` / ``close``.
     :class:`~repro.service.procworker.ProcessShardFleet` is the
@@ -295,8 +325,9 @@ class _ThreadFleet:
         del metrics_interval  # threads share the heap: snapshots are free
         self._engines = list(engines)
         self._queue_capacity = queue_capacity
+        slots = queue_slots(queue_capacity, batch_size, batch_timeout)
         self._queues: List["queue.Queue"] = [
-            queue.Queue(maxsize=queue_capacity) for _ in engines
+            queue.Queue(maxsize=slots) for _ in engines
         ]
         self._workers = [
             _ShardWorker(
@@ -321,7 +352,7 @@ class _ThreadFleet:
         for worker in self._workers:
             worker.start()
 
-    def submit(self, shard: int, item: Tuple, timeout: Optional[float]) -> None:
+    def submit(self, shard: int, item: Entries, timeout: Optional[float]) -> None:
         try:
             self._queues[shard].put(item, timeout=timeout)
         except queue.Full:
@@ -330,17 +361,21 @@ class _ThreadFleet:
                 f"(queue capacity {self._queue_capacity})"
             ) from None
 
-    def try_submit(self, shard: int, item: Tuple) -> bool:
+    def try_submit(self, shard: int, item: Entries) -> bool:
         try:
             self._queues[shard].put_nowait(item)
         except queue.Full:
             return False
         return True
 
-    def drain(self) -> List[ServeResult]:
+    def drain(self, flush: Sequence[Sequence[Entries]]) -> List[ServeResult]:
         if not self._drain_started:
             self._drain_started = True
-            for shard_queue in self._queues:
+            # Workers consume to the sentinel even after a failure, so
+            # these blocking puts always find room.
+            for shard_queue, items in zip(self._queues, flush):
+                for item in items:
+                    shard_queue.put(item)
                 shard_queue.put(None)
             for worker in self._workers:
                 worker.join()
@@ -418,7 +453,7 @@ class ArrangementService:
 
     #: Cross-thread contract (enforced by THR001): attributes written
     #: concurrently by submitter threads, guarded by ``_submit_lock``.
-    _shared = ("_next_index",)
+    _shared = ("_next_index", "_pending")
 
     def __init__(
         self,
@@ -500,8 +535,14 @@ class ArrangementService:
                 span_max=span_max,
                 metrics_interval=metrics_interval,
             )
-        self._submit_lock = threading.Lock()
+        # Re-entrant: try_submit holds it across _accept and the put.
+        self._submit_lock = threading.RLock()
         self._next_index = 0
+        # Buffered submission (batch_timeout=None): each shard's entries
+        # wait here until a full batch ships as one queue item.
+        self._pending: Optional[List[Entries]] = (
+            [[] for _ in self._engines] if batch_timeout is None else None
+        )
         self._started = False
         self._drained = False
         self._closed = False
@@ -554,16 +595,34 @@ class ArrangementService:
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
-    def _route(self, pair: Request) -> "Tuple[int, int]":
+    def _route(self, pair: Request) -> int:
         if not self._started or self._drained or self._closed:
             raise ServiceError(
                 "the service is not running (start() it, and submit before drain())"
             )
-        shard = self._partition.shard_of_pair(*pair)
+        return self._partition.shard_of_pair(*pair)
+
+    def _accept(self, shard: int, pair: Request) -> "Tuple[int, Optional[Entries]]":
+        """Number ``pair`` and buffer it: ``(index, the item to ship now or None)``."""
         with self._submit_lock:
             index = self._next_index
-            self._next_index += 1
-        return shard, index
+            self._next_index = index + 1
+            entry = (index, pair, monotonic_now())
+            if self._pending is None:
+                return index, [entry]
+            buffered = self._pending[shard]
+            buffered.append(entry)
+            if len(buffered) < self.batch_size:
+                return index, None
+            self._pending[shard] = buffered[self.batch_size :]
+            del buffered[self.batch_size :]
+            return index, buffered
+
+    def _unship(self, shard: int, item: Entries) -> None:
+        """Re-buffer an item that did not ship, minus its refused last entry."""
+        with self._submit_lock:
+            if self._pending is not None:
+                self._pending[shard] = item[:-1] + self._pending[shard]
 
     def submit(self, pair: Request, timeout: Optional[float] = None) -> int:
         """Enqueue one request, blocking while the shard queue is full.
@@ -571,18 +630,38 @@ class ArrangementService:
         Returns the request's global submission index.  A ``timeout`` (in
         seconds) turns starvation into an explicit :class:`ServiceError`
         instead of waiting forever.  A dead worker process (process backend)
-        also surfaces here as a :class:`ServiceError` naming the shard.
+        also surfaces here, once its queue is full, as a
+        :class:`ServiceError` naming the shard.  Buffered submission
+        (``batch_timeout=None``) only blocks on the request that completes
+        its shard's batch; a refused request leaves the earlier ones
+        buffered.
         """
-        shard, index = self._route(pair)
-        self._fleet.submit(shard, (index, pair, monotonic_now()), timeout)
+        shard = self._route(pair)
+        index, item = self._accept(shard, pair)
+        if item is not None:
+            try:
+                self._fleet.submit(shard, item, timeout)
+            except BaseException:
+                self._unship(shard, item)
+                raise
         return index
 
     def try_submit(self, pair: Request) -> Optional[int]:
         """Enqueue one request or return ``None`` when the shard queue is full."""
-        shard, index = self._route(pair)
-        if not self._fleet.try_submit(shard, (index, pair, monotonic_now())):
-            return None
-        return index
+        shard = self._route(pair)
+        # Held across the non-blocking put: a refused item is re-buffered
+        # before any other submitter can touch the buffer.
+        with self._submit_lock:
+            index, item = self._accept(shard, pair)
+            if item is None:
+                return index
+            shipped = False
+            try:
+                shipped = self._fleet.try_submit(shard, item)
+            finally:
+                if not shipped:
+                    self._unship(shard, item)
+        return index if shipped else None
 
     # ------------------------------------------------------------------
     # Completion
@@ -600,8 +679,18 @@ class ArrangementService:
         """
         if not self._started:
             raise ServiceError("the service was never started")
-        self._drained = True
-        return self._fleet.drain()
+        batch_size = self.batch_size
+        flush: List[List[Entries]] = [[] for _ in self._engines]
+        with self._submit_lock:
+            self._drained = True
+            if self._pending is not None:
+                for shard, entries in enumerate(self._pending):
+                    flush[shard] = [
+                        entries[start : start + batch_size]
+                        for start in range(0, len(entries), batch_size)
+                    ]
+                self._pending = [[] for _ in self._engines]
+        return self._fleet.drain(flush)
 
     def shard_reports(self) -> List[ShardReport]:
         """Per-shard cost summaries (call after :meth:`drain` for final totals).

@@ -6,10 +6,12 @@ thread fleet in :mod:`repro.service.broker`, but runs every shard's
 the GIL stops being the ceiling, so shardable scenarios can use one core
 per shard.  The moving parts, per shard:
 
-* a bounded ``multiprocessing.Queue`` of request tuples
-  ``(request_index, pair, enqueued_at)`` ended by a ``None`` sentinel —
-  same capacity, same explicit backpressure semantics as the thread
-  backend's ``queue.Queue``,
+* a bounded ``multiprocessing.Queue`` of entry lists — each list holds the
+  ``(request_index, pair, enqueued_at)`` entries of one buffered batch
+  (``batch_timeout=None``: one pickled message per batch, not per request)
+  or of one request (with a batch timeout) — ended by a ``None`` sentinel;
+  same capacity in requests, same explicit backpressure semantics as the
+  thread backend's ``queue.Queue``,
 * the worker process (:func:`_worker_main`), a thin wrapper around the
   broker's :func:`~repro.service.broker.serve_shard` — the one serving loop
   both backends run (deterministic batch composition with
@@ -36,9 +38,11 @@ by experiment E14).
 **Failure**: a worker that raises keeps draining its request queue until
 the sentinel (its bounded queue must never stay full, or submitters would
 hang) and reports the error at drain; a worker that *dies* (kill -9,
-segfault) is detected by liveness polling — submits against its full queue
-raise a :class:`~repro.errors.ServiceError` naming the dead shard instead
-of blocking forever, and ``drain()`` reports it too.
+segfault) is detected by liveness polling on the full-queue path only — a
+put that finds room costs no ``waitpid``, while a submit against a full
+queue re-checks the worker every poll slice and raises a
+:class:`~repro.errors.ServiceError` naming the dead shard instead of
+blocking forever; ``drain()`` reports it too.
 
 **Shutdown** is deterministic: sentinels flush every queue, workers flush
 their result queues before exiting, and processes are joined with a
@@ -57,13 +61,14 @@ from repro.errors import ServiceError
 from repro.obs.clock import now as monotonic_now
 from repro.obs.profile import add_work, work_delta, work_snapshot
 from repro.obs.spans import SpanCollector, SpanSampler, SpanTrace
-from repro.service.broker import ServeResult, serve_shard
+from repro.service.broker import Entries, ServeResult, queue_slots, serve_shard
 from repro.service.engine import ShardEngine, ShardReport
 from repro.service.observation import ShardMetrics, ShardMetricsSnapshot
 
 #: Liveness-polling interval for blocking queue operations against a worker
-#: process: every slice we re-check the process is still alive, so a dead
-#: worker turns a would-be-forever block into a ServiceError.
+#: process: every slice a full queue stays full, we re-check the process is
+#: still alive, so a dead worker turns a would-be-forever block into a
+#: ServiceError.
 _POLL_SECONDS = 0.05
 
 #: How long drain() waits for a worker process to exit after its sentinel
@@ -258,8 +263,9 @@ class ProcessShardFleet:
         self._results: Optional[List[ServeResult]] = None
         self._failures: List[str] = []
         self._closed = False
+        slots = queue_slots(queue_capacity, batch_size, batch_timeout)
         self._request_queues = [
-            multiprocessing.Queue(maxsize=queue_capacity) for _ in self._engines
+            multiprocessing.Queue(maxsize=slots) for _ in self._engines
         ]
         self._result_queues = [
             multiprocessing.Queue(maxsize=queue_capacity) for _ in self._engines
@@ -321,12 +327,9 @@ class ProcessShardFleet:
                 f"(exit code {process.exitcode}); drain() has the details"
             )
 
-    def submit(self, shard: int, item: Tuple, timeout: Optional[float]) -> None:
+    def submit(self, shard: int, item: Entries, timeout: Optional[float]) -> None:
         deadline = None if timeout is None else monotonic_now() + timeout
         while True:
-            # Poll in slices so a worker that dies with a full queue turns
-            # into an error instead of an eternal block.
-            self._check_alive(shard)
             if deadline is None:
                 slice_seconds = _POLL_SECONDS
             else:
@@ -341,27 +344,30 @@ class ProcessShardFleet:
                 self._request_queues[shard].put(item, timeout=slice_seconds)
                 return
             except queue.Full:
-                continue
+                # Poll in slices so a worker that dies with a full queue
+                # turns into an error instead of an eternal block.
+                self._check_alive(shard)
 
-    def try_submit(self, shard: int, item: Tuple) -> bool:
-        self._check_alive(shard)
+    def try_submit(self, shard: int, item: Entries) -> bool:
         try:
             self._request_queues[shard].put_nowait(item)
         except queue.Full:
+            self._check_alive(shard)
             return False
         return True
 
     # ------------------------------------------------------------------
     # Completion
     # ------------------------------------------------------------------
-    def _send_sentinel(self, shard: int) -> None:
+    def _send(self, shard: int, item: Optional[Entries]) -> bool:
+        """Put ``item`` (``None``: the sentinel); ``False`` if the worker died."""
         process = self._processes[shard]
         while True:
             if process.pid is not None and not process.is_alive():
-                return  # the collector records the death
+                return False  # the collector records the death
             try:
-                self._request_queues[shard].put(None, timeout=_POLL_SECONDS)
-                return
+                self._request_queues[shard].put(item, timeout=_POLL_SECONDS)
+                return True
             except queue.Full:
                 continue
 
@@ -378,11 +384,13 @@ class ProcessShardFleet:
                 process.kill()
                 process.join(timeout=1.0)
 
-    def drain(self) -> List[ServeResult]:
+    def drain(self, flush: Sequence[Sequence[Entries]]) -> List[ServeResult]:
         if not self._drain_started:
             self._drain_started = True
-            for shard in range(len(self._engines)):
-                self._send_sentinel(shard)
+            for shard, items in enumerate(flush):
+                for item in [*items, None]:
+                    if not self._send(shard, item):
+                        break
             for collector in self._collectors:
                 collector.join()
             self._reap()

@@ -49,20 +49,23 @@ def rules_fired(report):
 # ----------------------------------------------------------------------
 # The tier-1 gate: the repository itself is analysis-clean
 # ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def src_report():
+    """One analysis of the package's own tree, shared by the self-host tests."""
+    return analyze_paths([SRC_TREE])
+
+
 class TestSelfHost:
-    def test_src_tree_has_zero_unsuppressed_findings(self):
-        report = analyze_paths([SRC_TREE])
-        assert report.clean, "\n" + "\n".join(
-            finding.format() for finding in report.findings
+    def test_src_tree_has_zero_unsuppressed_findings(self, src_report):
+        assert src_report.clean, "\n" + "\n".join(
+            finding.format() for finding in src_report.findings
         )
 
-    def test_src_tree_analyzes_many_modules(self):
-        report = analyze_paths([SRC_TREE])
-        assert report.num_modules > 40
+    def test_src_tree_analyzes_many_modules(self, src_report):
+        assert src_report.num_modules > 40
 
-    def test_every_suppression_in_tree_has_a_reason(self):
-        report = analyze_paths([SRC_TREE])
-        assert not [f for f in report.findings if f.rule == RULE_MISSING_REASON]
+    def test_every_suppression_in_tree_has_a_reason(self, src_report):
+        assert not [f for f in src_report.findings if f.rule == RULE_MISSING_REASON]
 
     def test_deterministic_manifest_covers_the_core_subsystems(self):
         for prefix in (

@@ -6,7 +6,9 @@ batch composition depends only on each shard's request order, so for any
 stream, batch size, shard count and queue capacity both backends must serve
 every request with the cost outcome a plain sequential loop of
 :meth:`~repro.service.engine.ShardEngine.serve_batch` calls produces, end
-with the same shard totals, and leave every shard in the same arrangement.
+with the same shard totals, and leave every shard in the same arrangement —
+also when blocking ``submit`` and non-blocking ``try_submit`` calls
+interleave on the buffered submission path.
 """
 
 from hypothesis import given, settings
@@ -65,7 +67,10 @@ def _sequential(stream, requests, partition, seed, batch_size):
     )
 
 
-def _served(stream, requests, partition, seed, batch_size, capacity, backend):
+def _served(
+    stream, requests, partition, seed, batch_size, capacity, backend, tries=None
+):
+    """Serve ``requests``; ``tries[i]`` sends request ``i`` by ``try_submit``."""
     service = build_traffic_service(
         stream,
         seed=seed,
@@ -77,8 +82,11 @@ def _served(stream, requests, partition, seed, batch_size, capacity, backend):
     )
     try:
         service.start()
-        for pair in requests:
-            service.submit(pair)
+        for index, pair in enumerate(requests):
+            if tries is not None and tries[index]:
+                assert service.try_submit(pair) == index
+            else:
+                service.submit(pair)
         results = service.drain()
         return (
             [
@@ -125,3 +133,34 @@ def test_backends_match_sequential_serving(
         assert served[0] == reference[0], backend
         assert served[1] == reference[1], backend
         assert served[2] == reference[2], backend
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    batch_size=st.integers(min_value=1, max_value=8),
+    shards=st.integers(min_value=1, max_value=3),
+    tries=st.lists(st.booleans(), min_size=NUM_REQUESTS, max_size=NUM_REQUESTS),
+)
+def test_interleaved_submit_and_try_submit_match_sequential_serving(
+    seed, batch_size, shards, tries
+):
+    # Capacity for every request: no try_submit is ever refused.
+    stream = get_scenario("zipf-tenants").request_stream(
+        NUM_NODES, NUM_REQUESTS, seed
+    )
+    requests = list(stream)
+    partition = discover_stream_partition(stream, shards)
+    reference = _sequential(stream, requests, partition, seed, batch_size)
+    for backend in BACKENDS:
+        served = _served(
+            stream,
+            requests,
+            partition,
+            seed,
+            batch_size,
+            NUM_REQUESTS,
+            backend,
+            tries=tries,
+        )
+        assert served == reference, backend

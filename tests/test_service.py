@@ -338,6 +338,101 @@ class TestFleetMechanics:
             service.close()
 
 
+_PAIRS = [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3), (0, 2), (0, 1), (2, 3)]
+
+
+def _batches(results):
+    """The batch sizes of ``results``, one entry per served batch."""
+    sizes = []
+    served = 0
+    for result in results:
+        if served == 0:
+            sizes.append(result.batch_size)
+        served = (served + 1) % result.batch_size
+    return sizes
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestBufferedSubmission:
+    """``batch_timeout=None``: entries ship to the worker one batch per item."""
+
+    def test_drain_flushes_the_partial_final_batch(self, backend):
+        service = ArrangementService(
+            [_engine()], _partition(), batch_size=3, backend=backend
+        ).start()
+        try:
+            for pair in _PAIRS:
+                service.submit(pair)
+            results = service.drain()
+        finally:
+            service.close()
+        assert [(r.request_index, r.pair) for r in results] == list(
+            enumerate(_PAIRS)
+        )
+        assert _batches(results) == [3, 3, 2]
+
+    def test_blocking_submit_applies_backpressure_in_requests(self, backend):
+        service = ArrangementService(
+            [_engine()],
+            _partition(),
+            batch_size=2,
+            queue_capacity=4,
+            backend=backend,
+        )
+        try:
+            # Workers not started: two full batches fill the queue's four
+            # request slots, the fifth request waits in the buffer.
+            service._started = True
+            for pair in _PAIRS[:5]:
+                service.submit(pair, timeout=0.2)
+            time.sleep(0.1)  # let an mp feeder thread settle the queue size
+            with pytest.raises(ServiceError, match="backpressure"):
+                service.submit(_PAIRS[5], timeout=0.2)
+            service._started = False
+            service.start()
+            results = service.drain()
+        finally:
+            service.close()
+        # The refused request is gone; the buffered one before it is not.
+        assert [(r.request_index, r.pair) for r in results] == list(
+            enumerate(_PAIRS[:5])
+        )
+        assert _batches(results) == [2, 2, 1]
+
+    def test_refused_try_submit_takes_its_entry_back(self, backend):
+        service = ArrangementService(
+            [_engine()],
+            _partition(),
+            batch_size=2,
+            queue_capacity=2,
+            backend=backend,
+        )
+        try:
+            service._started = True
+            assert service.try_submit(_PAIRS[0]) == 0
+            assert service.try_submit(_PAIRS[1]) == 1  # ships; the queue is full
+            assert service.try_submit(_PAIRS[2]) == 2  # buffered
+            time.sleep(0.1)
+            assert service.try_submit(_PAIRS[3]) is None
+            assert service.try_submit(_PAIRS[4]) is None
+            service._started = False
+            service.start()
+            assert service.submit(_PAIRS[5]) == 5
+            results = service.drain()
+        finally:
+            service.close()
+        # Nothing lost, duplicated or reordered: the refused requests'
+        # indices are skipped, request 2 ships with the first one accepted
+        # after the refusals.
+        assert [(r.request_index, r.pair) for r in results] == [
+            (0, _PAIRS[0]),
+            (1, _PAIRS[1]),
+            (2, _PAIRS[2]),
+            (5, _PAIRS[5]),
+        ]
+        assert _batches(results) == [2, 2]
+
+
 # ----------------------------------------------------------------------
 # The shared serving loop, driven directly on a plain queue
 # ----------------------------------------------------------------------
@@ -345,7 +440,7 @@ class TestServeShard:
     def _queue(self, pairs, sentinel=True):
         requests = queue.Queue()
         for index, pair in enumerate(pairs):
-            requests.put((index, pair, monotonic_now()))
+            requests.put([(index, pair, monotonic_now())])
         if sentinel:
             requests.put(None)
         return requests
@@ -399,7 +494,7 @@ class TestServeShard:
 
     def test_failure_consumes_the_queue_to_the_sentinel_then_reraises(self):
         requests = self._queue([(0, 1), (1, 2), (2, 3)])
-        straggler = (99, (0, 1), monotonic_now())
+        straggler = [(99, (0, 1), monotonic_now())]
         requests.put(straggler)  # queued after the sentinel: must stay put
         metrics = ShardMetrics(0)
         emitted = []
