@@ -43,6 +43,11 @@ the batch is cut early once the timeout elapses after the batch opened,
 trading amortization for tail latency under slow arrivals (cost totals may
 then vary across runs; the determinism tests use the default).
 
+**Results** leave a worker as one compact :data:`ServedBatch` record per
+batch; :func:`expand_batch`, on the side that reads them, builds the
+:class:`ServeResult` tuples — only when results are retained or an
+``on_result`` hook wants them.
+
 Timing: every request records queue time (enqueue to batch start), service
 time (its batch's rearrangement pass) and total latency; every worker
 records its queue-depth high-water mark (in requests) and busy fraction in its
@@ -54,8 +59,7 @@ from __future__ import annotations
 
 import queue
 import threading
-from dataclasses import dataclass
-from typing import Callable, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Hashable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.permutation import Arrangement
 from repro.errors import ServiceError
@@ -93,9 +97,16 @@ def queue_slots(
     return max(1, queue_capacity // batch_size)
 
 
-@dataclass(frozen=True)
-class ServeResult:
-    """The served outcome of one request: cost deltas plus timing."""
+class ServeResult(NamedTuple):
+    """The served outcome of one request: cost deltas plus timing.
+
+    ``queue_seconds`` runs from enqueue to batch start (how long the request
+    waited for its worker), ``service_seconds`` is the duration of the
+    rearrangement pass that served the request's batch, ``latency_seconds``
+    runs from enqueue to completion (queue plus service) and ``batch_size``
+    counts the requests that shared that pass.  A tuple subclass: it
+    compares equal to a plain tuple holding the same values.
+    """
 
     request_index: int
     pair: Request
@@ -104,13 +115,36 @@ class ServeResult:
     migration_swaps: int
     communication_cost: float
     queue_seconds: float
-    """Enqueue to batch start: how long the request waited for its worker."""
     service_seconds: float
-    """Duration of the rearrangement pass that served this request's batch."""
     latency_seconds: float
-    """Enqueue to completion (queue plus service)."""
     batch_size: int
-    """How many requests shared this rearrangement pass."""
+
+
+#: One served batch, ``(service_seconds, started, finished, rows)``, with one
+#: ``(request_index, pair, revealed, migration_swaps, communication_cost,
+#: enqueued_at)`` row per request: plain tuples, one cheap pickle per batch.
+ServedBatch = Tuple[float, float, float, List[Tuple]]
+
+
+def expand_batch(shard: int, served: ServedBatch) -> List[ServeResult]:
+    """The :class:`ServeResult` of every request in one served batch record."""
+    service_seconds, started, finished, rows = served
+    size = len(rows)
+    return [
+        ServeResult(
+            index,
+            pair,
+            shard,
+            revealed,
+            swaps,
+            cost,
+            started - enqueued_at,
+            service_seconds,
+            finished - enqueued_at,
+            size,
+        )
+        for index, pair, revealed, swaps, cost, enqueued_at in rows
+    ]
 
 
 def serve_shard(
@@ -120,7 +154,7 @@ def serve_shard(
     batch_timeout: Optional[float],
     metrics: ShardMetrics,
     spans: Optional[SpanCollector] = None,
-    emit: Optional[Callable[[List[ServeResult]], None]] = None,
+    emit: Optional[Callable[[ServedBatch], None]] = None,
     after_batch: Optional[Callable[[], None]] = None,
 ) -> None:
     """One shard's serving loop, shared by the thread and process backends.
@@ -138,9 +172,9 @@ def serve_shard(
 
     Every batch feeds ``metrics`` (histograms, queue-depth high-water mark,
     busy time) and, for sampled requests, ``spans``; ``emit`` (when given)
-    receives the batch's :class:`ServeResult` list and ``after_batch`` (when
-    given) runs last.  On failure the loop keeps consuming its queue until
-    the sentinel — a bounded queue nobody drains would block every later
+    receives the batch's :data:`ServedBatch` record and ``after_batch``
+    (when given) runs last.  On failure the loop keeps consuming its queue
+    until the sentinel — a bounded queue nobody drains would block every later
     submit instead of reaching the drain that reports the error — and then
     re-raises.
     """
@@ -194,23 +228,24 @@ def serve_shard(
             )
             if emit is not None:
                 emit(
-                    [
-                        ServeResult(
-                            request_index=index,
-                            pair=pair,
-                            shard=shard_index,
-                            revealed=record.revealed,
-                            migration_swaps=record.migration_swaps,
-                            communication_cost=record.communication_cost,
-                            queue_seconds=started - enqueued_at,
-                            service_seconds=service_seconds,
-                            latency_seconds=finished - enqueued_at,
-                            batch_size=len(batch),
-                        )
-                        for (index, pair, enqueued_at), record in zip(
-                            batch, records
-                        )
-                    ]
+                    (
+                        service_seconds,
+                        started,
+                        finished,
+                        [
+                            (
+                                index,
+                                pair,
+                                record.revealed,
+                                record.migration_swaps,
+                                record.communication_cost,
+                                enqueued_at,
+                            )
+                            for (index, pair, enqueued_at), record in zip(
+                                batch, records
+                            )
+                        ],
+                    )
                 )
             if spans is not None:
                 replied = monotonic_now()
@@ -289,7 +324,8 @@ class _ShardWorker(threading.Thread):
         except BaseException as error:  # noqa: BLE001 - reported at drain()
             self.error = error
 
-    def _emit(self, served: List[ServeResult]) -> None:
+    def _emit(self, record: ServedBatch) -> None:
+        served = expand_batch(self._engine.shard_index, record)
         if self._retain_results:
             self.results.extend(served)
         if self._on_result is not None:
@@ -509,7 +545,7 @@ class ArrangementService:
         self.queue_capacity = queue_capacity
         self.retain_results = retain_results
         if backend == "process":
-            # Imported lazily: procworker imports this module's dataclasses.
+            # Imported lazily: procworker imports this module's serving loop.
             from repro.service.procworker import ProcessShardFleet
 
             self._fleet = ProcessShardFleet(

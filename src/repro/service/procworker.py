@@ -16,16 +16,18 @@ per shard.  The moving parts, per shard:
   broker's :func:`~repro.service.broker.serve_shard` — the one serving loop
   both backends run (deterministic batch composition with
   ``batch_timeout=None``),
-* a bounded result queue carrying one ``("results", [...])`` message per
-  served batch (amortized IPC — skipped entirely in the non-retained O(1)
-  memory mode when no ``on_result`` hook needs them), periodic
+* a bounded result queue carrying one ``("results", record)`` message per
+  served batch — a compact :data:`~repro.service.broker.ServedBatch`, so no
+  per-request object crosses the pipe; skipped entirely in the non-retained
+  O(1) memory mode when no ``on_result`` hook needs it — periodic
   ``("metrics", snapshot)`` ships for live introspection, then
   ``("error", ...)`` on engine failure and finally
   ``("done", report, metrics, spans, work, arrangement)`` — ``work`` being
   the process's deterministic work-counter delta (:mod:`repro.obs.profile`)
   and ``arrangement`` the shard's final served arrangement,
 * a collector thread in the broker process that drains the result queue,
-  fires ``on_result`` hooks, and notices a worker that died without saying
+  expands each record (:func:`~repro.service.broker.expand_batch`), fires
+  ``on_result`` hooks, and notices a worker that died without saying
   goodbye.
 
 **Determinism**: engines cross the fork bit-for-bit (no pickling on fork
@@ -61,7 +63,14 @@ from repro.errors import ServiceError
 from repro.obs.clock import now as monotonic_now
 from repro.obs.profile import add_work, work_delta, work_snapshot
 from repro.obs.spans import SpanCollector, SpanSampler, SpanTrace
-from repro.service.broker import Entries, ServeResult, queue_slots, serve_shard
+from repro.service.broker import (
+    Entries,
+    ServeResult,
+    ServedBatch,
+    expand_batch,
+    queue_slots,
+    serve_shard,
+)
 from repro.service.engine import ShardEngine, ShardReport
 from repro.service.observation import ShardMetrics, ShardMetricsSnapshot
 
@@ -89,8 +98,8 @@ def _worker_main(
 ) -> None:
     """One shard's worker process: :func:`serve_shard` plus the result pipe.
 
-    Ships each batch's results (unless ``ship_results=False``, the O(1)
-    memory mode), a ``("metrics", snapshot)`` message every
+    Ships each batch's result record (unless ``ship_results=False``, the
+    O(1) memory mode), a ``("metrics", snapshot)`` message every
     ``metrics_interval`` seconds for live introspection, and always ends
     with a ``("done", report, metrics, spans, work, arrangement)`` goodbye
     so the collector knows a missing one means the process died.
@@ -118,7 +127,7 @@ def _worker_main(
 
         after_batch = ship_metrics
 
-    def emit(served: List[ServeResult]) -> None:
+    def emit(served: ServedBatch) -> None:
         results.put(("results", served))
 
     try:
@@ -150,9 +159,9 @@ def _worker_main(
 class _ResultCollector(threading.Thread):
     """Drains one shard's result queue in the broker process.
 
-    Fires ``on_result`` for every served request, remembers the shard's
-    final report, metrics and arrangement from the worker's goodbye
-    message, and — when the queue goes quiet and the process is no longer
+    Expands each batch record, fires ``on_result`` for every served
+    request, remembers the shard's final report, metrics and arrangement
+    from the worker's goodbye message, and — when the queue goes quiet and the process is no longer
     alive — records the death instead of waiting forever.
     """
 
@@ -216,10 +225,11 @@ class _ResultCollector(threading.Thread):
                 return
             kind = message[0]
             if kind == "results":
-                for result in message[1]:
-                    if self._retain_results:
-                        self.results.append(result)
-                    if self._on_result is not None:
+                served = expand_batch(self.shard_index, message[1])
+                if self._retain_results:
+                    self.results.extend(served)
+                if self._on_result is not None:
+                    for result in served:
                         self._on_result(result)
             elif kind == "metrics":
                 self.live_metrics = message[1]

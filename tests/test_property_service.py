@@ -8,8 +8,11 @@ every request with the cost outcome a plain sequential loop of
 :meth:`~repro.service.engine.ShardEngine.serve_batch` calls produces, end
 with the same shard totals, and leave every shard in the same arrangement —
 also when blocking ``submit`` and non-blocking ``try_submit`` calls
-interleave on the buffered submission path.
+interleave on the buffered submission path, and when results reach an
+``on_result`` hook instead of being retained (the path perfbench drives).
 """
+
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -67,10 +70,37 @@ def _sequential(stream, requests, partition, seed, batch_size):
     )
 
 
+def _outcome(result):
+    """The deterministic slice of a ServeResult (timings excluded)."""
+    return (
+        result.request_index,
+        result.pair,
+        result.shard,
+        result.revealed,
+        result.migration_swaps,
+        result.communication_cost,
+        result.batch_size,
+    )
+
+
 def _served(
-    stream, requests, partition, seed, batch_size, capacity, backend, tries=None
+    stream,
+    requests,
+    partition,
+    seed,
+    batch_size,
+    capacity,
+    backend,
+    tries=None,
+    hooked=False,
 ):
-    """Serve ``requests``; ``tries[i]`` sends request ``i`` by ``try_submit``."""
+    """Serve ``requests``; ``tries[i]`` sends request ``i`` by ``try_submit``.
+
+    ``hooked`` collects results through an ``on_result`` hook with
+    ``retain_results=False`` instead of from the drain, checking that each
+    request reaches the hook exactly once.
+    """
+    hook_results = []
     service = build_traffic_service(
         stream,
         seed=seed,
@@ -79,6 +109,8 @@ def _served(
         queue_capacity=capacity,
         partition=partition,
         backend=backend,
+        on_result=hook_results.append if hooked else None,
+        retain_results=not hooked,
     )
     try:
         service.start()
@@ -88,19 +120,13 @@ def _served(
             else:
                 service.submit(pair)
         results = service.drain()
+        if hooked:
+            assert results == []
+            indices = Counter(result.request_index for result in hook_results)
+            assert indices == Counter(range(len(requests)))
+            results = sorted(hook_results, key=lambda result: result.request_index)
         return (
-            [
-                (
-                    result.request_index,
-                    result.pair,
-                    result.shard,
-                    result.revealed,
-                    result.migration_swaps,
-                    result.communication_cost,
-                    result.batch_size,
-                )
-                for result in results
-            ],
+            [_outcome(result) for result in results],
             service.shard_reports(),
             [
                 service.shard_arrangement(shard).order
@@ -127,12 +153,20 @@ def test_backends_match_sequential_serving(
     partition = discover_stream_partition(stream, shards)
     reference = _sequential(stream, requests, partition, seed, batch_size)
     for backend in BACKENDS:
-        served = _served(
-            stream, requests, partition, seed, batch_size, capacity, backend
-        )
-        assert served[0] == reference[0], backend
-        assert served[1] == reference[1], backend
-        assert served[2] == reference[2], backend
+        for hooked in (False, True):
+            served = _served(
+                stream,
+                requests,
+                partition,
+                seed,
+                batch_size,
+                capacity,
+                backend,
+                hooked=hooked,
+            )
+            assert served[0] == reference[0], (backend, hooked)
+            assert served[1] == reference[1], (backend, hooked)
+            assert served[2] == reference[2], (backend, hooked)
 
 
 @settings(max_examples=10, deadline=None)

@@ -48,7 +48,7 @@ from repro.service import (
     shard_rng,
     summarize_results,
 )
-from repro.service.broker import serve_shard
+from repro.service.broker import ServeResult, expand_batch, serve_shard
 from repro.service.loadgen import learner_factory
 from repro.service.observation import ShardMetrics
 from repro.vnet.controller import DemandAwareController
@@ -460,9 +460,9 @@ class TestServeShard:
             emit=emitted.append,
             after_batch=lambda: after.append(len(emitted)),
         )
-        assert [len(batch) for batch in emitted] == [2, 2, 1]
-        assert [r.batch_size for batch in emitted for r in batch] == [2, 2, 2, 2, 1]
-        served = [(r.request_index, r.pair) for batch in emitted for r in batch]
+        # One record per batch: (service_seconds, started, finished, rows).
+        assert [len(rows) for _, _, _, rows in emitted] == [2, 2, 1]
+        served = [row[:2] for _, _, _, rows in emitted for row in rows]
         assert served == list(enumerate(pairs))
         # after_batch runs once per batch, after that batch was emitted.
         assert after == [1, 2, 3]
@@ -490,7 +490,7 @@ class TestServeShard:
             metrics=ShardMetrics(0),
             emit=emit,
         )
-        assert [len(batch) for batch in emitted] == [1]
+        assert [len(rows) for _, _, _, rows in emitted] == [1]
 
     def test_failure_consumes_the_queue_to_the_sentinel_then_reraises(self):
         requests = self._queue([(0, 1), (1, 2), (2, 3)])
@@ -511,6 +511,80 @@ class TestServeShard:
         assert requests.get_nowait() == straggler
         assert requests.empty()
         assert metrics.finished_at is not None
+
+    def test_expanded_results_keep_the_per_request_values(self):
+        # expand_batch must reproduce exactly what the loop measured: the
+        # same float expressions over the enqueue stamps the queue carried.
+        pairs = [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)]
+        requests = self._queue(pairs)
+        entries = [requests.queue[index][0] for index in range(len(pairs))]
+        engine = _engine()
+        reference = _engine()
+        emitted = []
+        serve_shard(
+            engine,
+            requests,
+            batch_size=2,
+            batch_timeout=None,
+            metrics=ShardMetrics(0),
+            emit=emitted.append,
+        )
+        expected = []
+        for service_seconds, started, finished, rows in emitted:
+            assert service_seconds == finished - started
+            batch = entries[len(expected) : len(expected) + len(rows)]
+            records = reference.serve_batch([pair for _, pair, _ in batch])
+            for (index, pair, enqueued_at), record in zip(batch, records):
+                expected.append(
+                    (
+                        index,
+                        pair,
+                        engine.shard_index,
+                        record.revealed,
+                        record.migration_swaps,
+                        record.communication_cost,
+                        started - enqueued_at,
+                        service_seconds,
+                        finished - enqueued_at,
+                        len(rows),
+                    )
+                )
+        results = [
+            result
+            for record in emitted
+            for result in expand_batch(engine.shard_index, record)
+        ]
+        assert all(type(result) is ServeResult for result in results)
+        # A tuple subclass: equal, with exact floats, to the plain tuple of
+        # the same values.
+        assert results == expected
+        with pytest.raises(AttributeError):
+            results[0].shard = 1
+
+    def test_expand_batch_uses_the_loops_float_expressions(self):
+        # Stamps whose differences round: the helper must subtract exactly
+        # as written, never reassociate.
+        started, finished = 0.7, 1.1
+        rows = [
+            (4, (0, 1), True, 3, 0.0, 0.1),
+            (9, (2, 3), False, 0, 2.5, 0.3),
+        ]
+        first, second = expand_batch(3, (finished - started, started, finished, rows))
+        assert first == ServeResult(
+            request_index=4,
+            pair=(0, 1),
+            shard=3,
+            revealed=True,
+            migration_swaps=3,
+            communication_cost=0.0,
+            queue_seconds=started - 0.1,
+            service_seconds=finished - started,
+            latency_seconds=finished - 0.1,
+            batch_size=2,
+        )
+        assert second.queue_seconds == started - 0.3
+        assert second.latency_seconds == finished - 0.3
+        assert (second.shard, second.batch_size) == (3, 2)
 
 
 class TestBrokerMechanics:
