@@ -162,7 +162,7 @@ def offline_optimum_bounds(
             upper = result.distance
             lower = result.distance if result.exact else 0
             if check_prefixes and not result.exact:
-                lower = max(lower, _prefix_lower_bound(instance, max_exact_blocks))
+                lower = _prefix_lower_bound(instance, max_exact_blocks, lower)
             return OptBounds(
                 lower=lower,
                 upper=upper,
@@ -194,7 +194,7 @@ def offline_optimum_bounds(
             )
             lower = final_result.distance
         if check_prefixes:
-            lower = max(lower, _prefix_lower_bound(instance, max_exact_blocks))
+            lower = _prefix_lower_bound(instance, max_exact_blocks, lower)
         exact = lower == upper
         return OptBounds(
             lower=lower, upper=upper, upper_arrangement=upper_arrangement, exact=exact
@@ -208,10 +208,20 @@ def _exactly_solvable(blocks: Sequence[Block], max_exact_blocks: int) -> bool:
     return sum(1 for block in blocks if block.size > 1) <= 1
 
 
-def _prefix_lower_bound(instance: OnlineMinLAInstance, max_exact_blocks: int) -> int:
-    """``max_i  min_{π ∈ MinLA(G_i)} d(π_0, π)`` over exactly solvable prefixes."""
+def _prefix_lower_bound(
+    instance: OnlineMinLAInstance, max_exact_blocks: int, lower: int
+) -> int:
+    """``max(lower, max_i min_{π ∈ MinLA(G_i)} d(π_0, π))`` over exactly solvable prefixes.
+
+    Pruning: a prefix headed for the subset DP is first ordered greedily.
+    The greedy order is a MinLA of ``G_i``, so ``greedy_i ≥ exact_i``, and
+    ``greedy_i ≤ best`` implies ``exact_i ≤ best``: the exact solve cannot
+    raise the running maximum and is skipped.  The result is the same as
+    solving every prefix exactly.  Prefixes headed for the ``insertion``
+    strategy are always solved: it is already linear in the block count.
+    """
     pi0 = instance.initial_arrangement
-    best = 0
+    best = lower
     # Walk prefixes from the last (fewest components) towards the first and
     # stop as soon as a prefix is not exactly solvable — earlier prefixes have
     # even more components.
@@ -220,6 +230,10 @@ def _prefix_lower_bound(instance: OnlineMinLAInstance, max_exact_blocks: int) ->
         blocks = blocks_from_forest(forest)
         if not _exactly_solvable(blocks, max_exact_blocks):
             break
+        if len(blocks) <= max_exact_blocks:
+            greedy = closest_feasible_arrangement(pi0, blocks, method="greedy")
+            if greedy.distance <= best:
+                continue
         result = closest_feasible_arrangement(
             pi0, blocks, max_exact_blocks=max_exact_blocks
         )

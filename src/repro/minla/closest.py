@@ -20,9 +20,11 @@ The distance decomposes into
 Choosing the component order is a (weighted) linear ordering problem.  This
 module provides three strategies:
 
-* ``exact`` — dynamic programming over subsets of components,
-  ``O(2^m · m)``; exact for any instance but only practical for ``m ≲ 14``
-  components,
+* ``exact`` — dynamic programming over subsets of the multi-node
+  components times the number of one-node components placed (those keep
+  their ``π_0`` order), ``O(2^k · (s + 1) · k)`` for ``k`` multi-node and
+  ``s`` one-node components; exact for any instance, and run only for
+  ``m = k + s ≤ 13`` components by default,
 * ``insertion`` — exact special case used when at most one component has more
   than one node (singletons keep their ``π_0`` order, the single block is
   inserted in the best gap); this covers the Theorem 16 adversary for any
@@ -158,54 +160,128 @@ def _order_cost(order: Sequence[int], inv: Sequence[Sequence[int]]) -> int:
 # ----------------------------------------------------------------------
 # Ordering strategies
 # ----------------------------------------------------------------------
-def _exact_order_dp(inv: Sequence[Sequence[int]]) -> Tuple[List[int], int]:
-    """Optimal block order by dynamic programming over subsets, ``O(2^m · m)``.
+def _singletons_in_pi0_order(pi0: Arrangement, blocks: Sequence[Block]) -> List[int]:
+    """Indices of the one-node blocks, sorted by their node's ``π_0`` position."""
+    return sorted(
+        (index for index, block in enumerate(blocks) if block.size == 1),
+        key=lambda index: pi0.position(blocks[index].nodes[0]),
+    )
 
-    ``dp[mask]`` is the minimal cross cost of placing the blocks of ``mask``
-    first; putting block ``b`` last among them adds ``remaining[mask][b] =
-    Σ_{o ∉ mask} inv[b][o]``.  Masks are visited in numeric order, each
-    pulling from its predecessors ``mask ^ (1 << b)``; its ``remaining``
-    vector and member tuple extend those of ``mask`` minus its lowest bit.
-    Members, kept as ``(block, 1 << block)`` pairs, come out in descending
-    block order; scanning them with a strict ``<`` gives ties to the largest
-    block index (``results/*.csv`` depend on this tie-break).
+
+def _exact_order_dp(
+    inv: Sequence[Sequence[int]], singletons: Sequence[int]
+) -> Tuple[List[int], int]:
+    """Optimal block order by dynamic programming, ``O(2^k · (s + 1) · k)``.
+
+    ``singletons`` lists the ``s`` one-node blocks in ``π_0`` order; the
+    other ``k`` blocks are the non-singletons.  State ``(S, j)`` holds a
+    subset ``S`` of the non-singletons plus the first ``j`` singletons, and
+    its value is the minimal cross cost of placing those blocks first;
+    putting block ``b`` last among them adds ``Σ_{o outside} inv[b][o]``.
+    With no singletons this is the plain DP over subsets of all blocks,
+    which is also what callers with arbitrary matrices get.
+
+    *Exchange argument.*  ``inv`` counts pairs that ``π_0`` orders the
+    other way.  Take one-node blocks ``t`` before ``u`` in ``π_0``.  Any
+    order of a set of blocks that places ``u`` before ``t`` gets strictly
+    cheaper when the two swap places: their own pair saves 1, a node
+    placed between them that ``π_0`` also puts between them saves 2, and
+    every other node breaks even.  So in every sub-problem every optimum
+    keeps the singletons in ``π_0`` order.
+
+    *Same tie-break as the DP over all ``2^m`` subsets.*  That DP ends the
+    subset of ``(S, j)`` with its cheapest member, ties going to the
+    largest block index.  Ending it with a singleton other than the
+    ``j``-th is strictly worse by the exchange argument, so its choice is
+    always a member of ``S`` or the ``j``-th singleton — exactly this
+    DP's candidates, compared with the same tie-break.  Its
+    reconstruction from the full set therefore only passes through states
+    ``(S, j)``, and the returned ``(order, cost)`` is identical
+    (``results/*.csv`` depend on this tie-break).
+
+    Within a layer ``j``, subsets are visited in numeric order, each
+    pulling from its predecessors; its ``remaining`` vector (``Σ_{o
+    outside} inv[b][o]`` per non-singleton ``b``) extends that of the
+    subset minus its lowest bit.  Member tuples list non-singleton
+    positions in descending block order, so a strict ``<`` scan gives
+    ties to the largest non-singleton, which then meets the singleton
+    candidate.  ``choice`` holds the chosen position, ``-1`` for the
+    singleton.
     """
     m = len(inv)
-    _count_work("minla.closest.dp_states", 1 << m)
-    _count_work("minla.closest.dp_transitions", (m << m) >> 1)
-    if m == 0:
-        return [], 0
-    size = 1 << m
-    columns = [[row[block] for row in inv] for block in range(m)]
-    member_of = [(block, 1 << block) for block in range(m)]
-    remaining: List[List[int]] = [[]] * size
-    remaining[0] = [sum(row) for row in inv]
+    singleton_set = set(singletons)
+    big = [block for block in range(m) if block not in singleton_set]
+    k, s = len(big), len(singletons)
+    size = 1 << k
+    _count_work("minla.closest.dp_states", size * (s + 1))
+    _count_work("minla.closest.dp_transitions", ((s + 1) * k * size >> 1) + s * size)
+    # columns[c][p]: cost of non-singleton ``big[p]`` before block ``c``.
+    columns = [[inv[block][other] for block in big] for other in range(m)]
+    big_columns = [columns[block] for block in big]
+    member_of = [(position, 1 << position) for position in range(k)]
     members: List[Tuple[Tuple[int, int], ...]] = [()] * size
-    dp = [0] * size
-    choice = [0] * size
-    for mask in range(1, size):
-        low = mask & -mask
-        low_block = low.bit_length() - 1
-        rest = mask ^ low
-        remaining_here = list(map(sub, remaining[rest], columns[low_block]))
-        remaining[mask] = remaining_here
-        members_here = members[rest] + (member_of[low_block],)
-        members[mask] = members_here
-        best_block, bit = members_here[0]
-        best = dp[mask ^ bit] + remaining_here[best_block]
-        for block, bit in members_here:
-            candidate = dp[mask ^ bit] + remaining_here[block]
-            if candidate < best:
-                best = candidate
-                best_block = block
-        dp[mask] = best
-        choice[mask] = best_block
+    start = [sum(inv[block]) for block in big]
+    choices: List[List[int]] = []
+    dp: List[int] = []
+    for layer in range(s + 1):
+        previous = dp
+        dp = [0] * size
+        choice = [0] * size
+        remaining: List[List[int]] = [[]] * size
+        if layer:
+            # The ``layer``-th singleton joins: it leaves every
+            # non-singleton's outside set, and its own outside set is all
+            # blocks but the earlier singletons and the members of ``S``.
+            joined = singletons[layer - 1]
+            start = list(map(sub, start, columns[joined]))
+            joined_row = inv[joined]
+            joined_big = [joined_row[block] for block in big]
+            joined_remaining = [0] * size
+            joined_remaining[0] = sum(joined_row) - sum(
+                joined_row[block] for block in singletons[:layer]
+            )
+            dp[0] = previous[0] + joined_remaining[0]
+            choice[0] = -1
+        remaining[0] = start
+        for mask in range(1, size):
+            low = mask & -mask
+            low_position = low.bit_length() - 1
+            rest = mask ^ low
+            remaining_here = list(map(sub, remaining[rest], big_columns[low_position]))
+            remaining[mask] = remaining_here
+            if layer:
+                members_here = members[mask]
+            else:  # layer 0 builds the member tuples later layers reuse
+                members_here = members[rest] + (member_of[low_position],)
+                members[mask] = members_here
+            best_position, bit = members_here[0]
+            best = dp[mask ^ bit] + remaining_here[best_position]
+            for position, bit in members_here:
+                candidate = dp[mask ^ bit] + remaining_here[position]
+                if candidate < best:
+                    best = candidate
+                    best_position = position
+            if layer:
+                joined_here = joined_remaining[rest] - joined_big[low_position]
+                joined_remaining[mask] = joined_here
+                candidate = previous[mask] + joined_here
+                if candidate < best or (candidate == best and joined > big[best_position]):
+                    best = candidate
+                    best_position = -1
+            dp[mask] = best
+            choice[mask] = best_position
+        choices.append(choice)
     order_reversed: List[int] = []
     mask = size - 1
-    while mask:
-        block = choice[mask]
-        order_reversed.append(block)
-        mask ^= 1 << block
+    layer = s
+    while mask or layer:
+        position = choices[layer][mask]
+        if position < 0:
+            layer -= 1
+            order_reversed.append(singletons[layer])
+        else:
+            mask ^= 1 << position
+            order_reversed.append(big[position])
     order_reversed.reverse()
     return order_reversed, dp[size - 1]
 
@@ -242,11 +318,10 @@ def _insertion_order(
     argument); the unique non-trivial block, if any, is inserted into the gap
     that minimizes the cross cost.
     """
-    singleton_indices = [i for i, block in enumerate(blocks) if block.size == 1]
     big_indices = [i for i, block in enumerate(blocks) if block.size > 1]
     if len(big_indices) > 1:
         raise SolverError("insertion strategy requires at most one non-trivial block")
-    singleton_indices.sort(key=lambda i: pi0.position(blocks[i].nodes[0]))
+    singleton_indices = _singletons_in_pi0_order(pi0, blocks)
     if not big_indices:
         return singleton_indices, 0
     big = big_indices[0]
@@ -329,7 +404,7 @@ def closest_feasible_arrangement(
                 raise SolverError(
                     f"exact ordering limited to {max_exact_blocks} blocks; got {len(blocks)}"
                 )
-            order, cross_cost = _exact_order_dp(inv)
+            order, cross_cost = _exact_order_dp(inv, _singletons_in_pi0_order(pi0, blocks))
             exact = True
         elif method == "insertion":
             order, cross_cost = _insertion_order(pi0, blocks, inv)

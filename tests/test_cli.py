@@ -324,15 +324,17 @@ class TestPerfCommand:
         assert "counter drift" in diff
 
     def test_perf_run_attributes_the_solver(self, capsys, monkeypatch):
-        # Record the block count of every exact solve, seen from outside
-        # the solver, on each module that holds a reference to it.
+        # Record the multi-node and one-node block counts of every exact
+        # solve, seen from outside the solver, on each module that holds a
+        # reference to it.
         exact_block_counts = []
 
         def recording(solve):
             def wrapper(pi0, blocks, *args, **kwargs):
                 result = solve(pi0, blocks, *args, **kwargs)
                 if result.method == "exact":
-                    exact_block_counts.append(len(blocks))
+                    singletons = sum(1 for block in blocks if block.size == 1)
+                    exact_block_counts.append((len(blocks) - singletons, singletons))
                 return result
 
             return wrapper
@@ -352,9 +354,14 @@ class TestPerfCommand:
         assert any(path[-2:] == ("opt.bounds", "closest.solve") for path in zone_paths)
         assert exact_block_counts
         work = payload["work"]
-        assert work["minla.closest.dp_states"] == sum(1 << m for m in exact_block_counts)
+        # The DP visits 2^k·(s+1) states on k multi-node and s one-node
+        # blocks; each pulls from its multi-node members and, past the
+        # first layer, from the layer below.
+        assert work["minla.closest.dp_states"] == sum(
+            (1 << k) * (s + 1) for k, s in exact_block_counts
+        )
         assert work["minla.closest.dp_transitions"] == sum(
-            (m << m) >> 1 for m in exact_block_counts
+            (s + 1) * (k << k >> 1) + s * (1 << k) for k, s in exact_block_counts
         )
 
     def test_perf_run_without_target_errors(self, capsys):

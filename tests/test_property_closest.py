@@ -1,28 +1,40 @@
-"""Property tests for the closest-arrangement solver's ordering DP.
+"""Property tests for the closest-arrangement solver and the OPT prefix walk.
 
-:func:`repro.minla.closest._exact_order_dp` pulls each subset state from its
-predecessors in ``O(2^m · m)``.  These tests hold it to the layered
-``O(2^m · m²)`` push DP it replaced, copied below as the reference, on
-tie-heavy cost matrices where the tie-break decides the order; to a
-brute-force minimum over all block orders; and hold the one-pass cross
-matrix of :func:`repro.minla.closest._pairwise_inversions` to pairwise
-:func:`repro.telemetry.backends.count_cross_inversions` counts.
+:func:`repro.minla.closest._exact_order_dp` runs over subsets of the
+multi-node blocks times the number of one-node blocks placed in ``π_0``
+order.  These tests hold it to the layered ``O(2^m · m²)`` push DP over all
+subsets, copied below as the reference: on tie-heavy cost matrices with no
+singletons, where the tie-break decides the order, and on real ``π_0``
+instances with many singletons; to a brute-force minimum over all block
+orders; and hold the one-pass cross matrix of
+:func:`repro.minla.closest._pairwise_inversions` to pairwise
+:func:`repro.telemetry.backends.count_cross_inversions` counts.  The OPT
+prefix walk, which skips exact solves its greedy distance shows cannot
+raise the bound, is held to solving every prefix exactly.
 """
 
 import itertools
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.instance import OnlineMinLAInstance
+from repro.core.opt import _exactly_solvable, _prefix_lower_bound, offline_optimum_bounds
 from repro.core.permutation import Arrangement
+from repro.graphs.reveal import LineRevealSequence
 from repro.minla.closest import (
     Block,
     BlockKind,
     _exact_order_dp,
     _order_cost,
     _pairwise_inversions,
+    _singletons_in_pi0_order,
+    blocks_from_forest,
+    closest_feasible_arrangement,
 )
 from repro.telemetry.backends import count_cross_inversions
+from repro.workloads.generation import random_clique_merge_sequence, random_line_sequence
 
 
 def _reference_order_dp(inv):
@@ -103,16 +115,45 @@ def partitioned_arrangements(draw, max_nodes=64):
     return pi0, blocks
 
 
+@st.composite
+def singleton_heavy_blocks(draw, max_blocks):
+    """A random ``π_0`` and a partition into mostly one-node blocks.
+
+    Block sizes of 1–3 nodes keep many block orders equally cheap, so the
+    tie-break between singletons and multi-node blocks decides the order.
+    """
+    sizes = draw(
+        st.lists(st.sampled_from([1, 1, 1, 2, 2, 3]), max_size=max_blocks)
+    )
+    n = sum(sizes)
+    pi0 = Arrangement(draw(st.permutations(range(n))))
+    members = draw(st.permutations(range(n)))
+    cuts = list(itertools.accumulate(sizes))
+    blocks = [
+        Block(BlockKind.FREE, tuple(members[lo:hi]))
+        for lo, hi in zip([0] + cuts, cuts)
+    ]
+    return pi0, blocks
+
+
 class TestExactOrderDP:
     @given(tie_heavy_matrices(max_blocks=9))
     @settings(max_examples=300, deadline=None)
     def test_matches_the_reference_dp(self, inv):
-        assert _exact_order_dp(inv) == _reference_order_dp(inv)
+        assert _exact_order_dp(inv, ()) == _reference_order_dp(inv)
+
+    @given(singleton_heavy_blocks(max_blocks=9))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_reference_dp_with_singletons(self, case):
+        pi0, blocks = case
+        inv = _pairwise_inversions(pi0, blocks)
+        singletons = _singletons_in_pi0_order(pi0, blocks)
+        assert _exact_order_dp(inv, singletons) == _reference_order_dp(inv)
 
     @given(tie_heavy_matrices(max_blocks=7))
     @settings(max_examples=60, deadline=None)
     def test_cost_is_the_brute_force_minimum(self, inv):
-        order, cost = _exact_order_dp(inv)
+        order, cost = _exact_order_dp(inv, ())
         assert sorted(order) == list(range(len(inv)))
         assert _order_cost(order, inv) == cost
         assert cost == min(
@@ -135,3 +176,67 @@ class TestPairwiseInversions:
             for i in range(len(blocks))
         ]
         assert _pairwise_inversions(pi0, blocks) == expected
+
+
+def _unpruned_prefix_lower_bound(instance, max_exact_blocks, lower):
+    """The prefix walk with every exactly solvable prefix solved exactly."""
+    best = lower
+    for step_count in range(instance.num_steps, 0, -1):
+        blocks = blocks_from_forest(instance.sequence.forest_after(step_count))
+        if not _exactly_solvable(blocks, max_exact_blocks):
+            break
+        result = closest_feasible_arrangement(
+            instance.initial_arrangement, blocks, max_exact_blocks=max_exact_blocks
+        )
+        best = max(best, result.distance)
+    return best
+
+
+def _instance(kind, n, final_components, seed):
+    rng = random.Random(seed)
+    generate = random_line_sequence if kind == "lines" else random_clique_merge_sequence
+    sequence = generate(n, rng, num_final_components=final_components)
+    return OnlineMinLAInstance.with_random_start(sequence, rng)
+
+
+class TestPrunedPrefixWalk:
+    @given(
+        st.sampled_from(["cliques", "lines"]),
+        st.integers(min_value=2, max_value=14),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=0, max_value=40),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_solving_every_prefix(
+        self, kind, n, final_components, seed, max_exact_blocks, lower
+    ):
+        instance = _instance(kind, n, min(final_components, n), seed)
+        assert _prefix_lower_bound(
+            instance, max_exact_blocks, lower
+        ) == _unpruned_prefix_lower_bound(instance, max_exact_blocks, lower)
+
+    @given(
+        st.integers(min_value=10, max_value=16),
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=2, max_value=4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_lines_whose_final_solve_is_greedy(self, n, seed, max_exact_blocks):
+        # Paths of two nodes each: more final components than the exact
+        # limit and several multi-node ones, so the final solve is greedy.
+        rng = random.Random(seed)
+        nodes = list(range(n))
+        rng.shuffle(nodes)
+        sequence = LineRevealSequence.from_pairs(
+            range(n), list(zip(nodes[0::2], nodes[1::2]))
+        )
+        instance = OnlineMinLAInstance.with_random_start(sequence, rng)
+        final_blocks = blocks_from_forest(instance.sequence.final_forest())
+        assert not _exactly_solvable(final_blocks, max_exact_blocks)
+        bounds = offline_optimum_bounds(instance, max_exact_blocks=max_exact_blocks)
+        assert not bounds.exact
+        assert bounds.lower == _unpruned_prefix_lower_bound(
+            instance, max_exact_blocks, 0
+        )
