@@ -4,9 +4,11 @@ Boots the arrangement-serving subsystem in-process and replays four
 registered scenarios across the backend × shard-count × micro-batch grid,
 measuring throughput and p50/p95/p99 latency.  Cost totals must agree
 across backends in every cell; the process-beats-thread throughput claim
-is asserted only when the host actually has more than one schedulable
-core (a single-core host can only measure the process backend's IPC
-overhead, never its parallel speedup).
+is asserted only when the host has a schedulable core for every shard of
+the largest shard count plus one for the parent.  With fewer, the workers
+share cores with each other and with the parent that routes and collects,
+so the benchmark measures the process backend's IPC overhead, not its
+parallel speedup; both best throughputs stay findings either way.
 """
 
 import os
@@ -42,17 +44,18 @@ def test_e13_service_latency(run_experiment):
         assert result.findings[f"best throughput {backend} (req/s)"] > 0
     # The backends race on timing but must agree on every cost total.
     assert result.findings["max cross-backend cost deviation"] == 0.0
-    # Process workers only out-scale threads with one core per shard; on a
-    # multi-core host the best process-backed throughput at the largest
-    # shard count must beat the thread backend on shardable scenarios.
-    if _available_cores() >= 2:
-        rows = table.rows
-        columns = table.columns
+    # Process workers only out-scale threads with one core per shard (plus
+    # one for the parent); on such a host the best process-backed
+    # throughput at the largest shard count must beat the thread backend
+    # on shardable scenarios.
+    rows = table.rows
+    columns = table.columns
+    shards_i = columns.index("shards")
+    max_shards = max(row[shards_i] for row in rows)
+    if _available_cores() >= max_shards + 1:
         scenario_i = columns.index("scenario")
         backend_i = columns.index("backend")
-        shards_i = columns.index("shards")
         throughput_i = columns.index("throughput req/s")
-        max_shards = max(row[shards_i] for row in rows)
         best = {}
         for row in rows:
             if row[scenario_i] in SHARDABLE_SCENARIOS and row[shards_i] == max_shards:

@@ -22,9 +22,12 @@ module provides three strategies:
 
 * ``exact`` — dynamic programming over subsets of the multi-node
   components times the number of one-node components placed (those keep
-  their ``π_0`` order), ``O(2^k · (s + 1) · k)`` for ``k`` multi-node and
-  ``s`` one-node components; exact for any instance, and run only for
-  ``m = k + s ≤ 13`` components by default,
+  their ``π_0`` order), expanding only the states whose cost so far plus a
+  pairwise lower bound on the rest stays within a greedy order's cost:
+  ``O(m² + m · 2^⌈k/2⌉)`` set-up plus ``O(k)`` per kept state, at worst
+  ``O(2^k · (s + 1) · k)``, for ``k`` multi-node and ``s`` one-node
+  components; exact for any instance, and run only for ``m = k + s ≤ 13``
+  components by default,
 * ``insertion`` — exact special case used when at most one component has more
   than one node (singletons keep their ``π_0`` order, the single block is
   inserted in the best gap); this covers the Theorem 16 adversary for any
@@ -41,8 +44,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import accumulate, combinations
 from operator import add, sub
-from typing import Hashable, List, Sequence, Tuple, Union
+from typing import Dict, Hashable, List, Sequence, Tuple, Union
 
 from repro.core.permutation import Arrangement
 from repro.obs.profile import count_work as _count_work, profile_zone
@@ -168,18 +172,28 @@ def _singletons_in_pi0_order(pi0: Arrangement, blocks: Sequence[Block]) -> List[
     )
 
 
+def _subset_sums(values: Sequence[int]) -> List[int]:
+    """``sums[mask]``: the sum of ``values[p]`` over the set bits ``p`` of ``mask``."""
+    sums = [0]
+    for value in values:
+        sums += [total + value for total in sums]
+    return sums
+
+
 def _exact_order_dp(
     inv: Sequence[Sequence[int]], singletons: Sequence[int]
 ) -> Tuple[List[int], int]:
-    """Optimal block order by dynamic programming, ``O(2^k · (s + 1) · k)``.
+    """Optimal block order by a dynamic program bounded from both sides.
 
     ``singletons`` lists the ``s`` one-node blocks in ``π_0`` order; the
     other ``k`` blocks are the non-singletons.  State ``(S, j)`` holds a
     subset ``S`` of the non-singletons plus the first ``j`` singletons, and
-    its value is the minimal cross cost of placing those blocks first;
-    putting block ``b`` last among them adds ``Σ_{o outside} inv[b][o]``.
-    With no singletons this is the plain DP over subsets of all blocks,
-    which is also what callers with arbitrary matrices get.
+    ``dp(S, j)`` is the minimal cross cost of placing those blocks first;
+    putting block ``b`` last among them adds ``out = Σ_{o outside}
+    inv[b][o]``.  With no singletons this is the DP over subsets of all
+    blocks, which is also what callers with arbitrary matrices get.  At
+    worst it reaches all ``2^k · (s + 1)`` states, each with up to
+    ``k + 1`` candidates; the bounds usually keep a few states per layer.
 
     *Exchange argument.*  ``inv`` counts pairs that ``π_0`` orders the
     other way.  Take one-node blocks ``t`` before ``u`` in ``π_0``.  Any
@@ -187,103 +201,114 @@ def _exact_order_dp(
     cheaper when the two swap places: their own pair saves 1, a node
     placed between them that ``π_0`` also puts between them saves 2, and
     every other node breaks even.  So in every sub-problem every optimum
-    keeps the singletons in ``π_0`` order.
+    keeps the singletons in ``π_0`` order, and ending the set of ``(S, j)``
+    with a singleton other than the ``j``-th is strictly worse.
 
-    *Same tie-break as the DP over all ``2^m`` subsets.*  That DP ends the
-    subset of ``(S, j)`` with its cheapest member, ties going to the
-    largest block index.  Ending it with a singleton other than the
-    ``j``-th is strictly worse by the exchange argument, so its choice is
-    always a member of ``S`` or the ``j``-th singleton — exactly this
-    DP's candidates, compared with the same tie-break.  Its
-    reconstruction from the full set therefore only passes through states
-    ``(S, j)``, and the returned ``(order, cost)`` is identical
-    (``results/*.csv`` depend on this tie-break).
+    *Bounds.*  The upper bound ``UB`` is the cost of one feasible order:
+    blocks sorted by ``Σ_o inv[b][o] − inv[o][b]`` (ties by index), then
+    :func:`_local_search`.  The blocks of a set ``U`` cost at least
+    ``LB(U) = Σ_{{a, b} ⊆ U} min(inv[a][b], inv[b][a])`` among themselves,
+    in any order and for any matrix.  The DP carries ``f = dp + LB(rest)``
+    as one number, ``rest`` being the blocks not yet placed: placing ``b``
+    adds ``out`` to ``dp`` and takes ``b``'s pairs out of ``LB(rest)``, so
+    ``f`` grows by ``Σ_{o in rest} excess[b][o]`` with ``excess = inv −
+    min(inv, invᵀ) ≥ 0``, from ``f(∅) = LB(all)`` to ``f(all) =
+    dp(all)``.  States are pushed layer by layer (a layer per number of
+    blocks placed), and a candidate ``P → P ∪ {b}`` is kept only if its
+    ``f = dp(P) + out + LB(rest) ≤ UB``.  The sum over ``rest`` is ``b``'s
+    row total, minus the first ``j`` singletons (a prefix table), minus the
+    members of ``S``, read from two half-width subset-sum tables per block
+    (``2^⌊k/2⌋`` and ``2^⌈k/2⌉`` entries).
 
-    Within a layer ``j``, subsets are visited in numeric order, each
-    pulling from its predecessors; its ``remaining`` vector (``Σ_{o
-    outside} inv[b][o]`` per non-singleton ``b``) extends that of the
-    subset minus its lowest bit.  Member tuples list non-singleton
-    positions in descending block order, so a strict ``<`` scan gives
-    ties to the largest non-singleton, which then meets the singleton
-    candidate.  ``choice`` holds the chosen position, ``-1`` for the
-    singleton.
+    *Same order and cost as without the bounds.*  Every prefix of an
+    optimal order of a set is optimal for its own prefix set, so a state
+    ``P`` on an optimal full order has an exact ``f*(P) = dp(P) + LB(rest)
+    ≤ dp(P) + (cost of the rest of that order) = OPT ≤ UB``.  By induction
+    along the order, its predecessor's ``f`` is exact, the candidate into
+    ``P`` has value ``f*(P) ≤ UB`` and is kept, and so ``f(P) = f*(P)``.
+    This covers the reconstruction path and every predecessor tied with
+    it, which lies on an optimal order too.  Into such a state, a
+    candidate the bound drops has ``f > UB ≥ f*(P)``, and one pushed from
+    a state whose ``f`` is above its exact value is above ``f*(P)`` as
+    well; neither can win or tie.  Ties go to the larger block index, as
+    in the DP over all ``2^m`` subsets, whose winning candidates are all
+    among these by the exchange argument.  So ``(order, cost)`` is
+    identical to that DP's (``results/*.csv`` depend on this tie-break):
+    the optimum whose reversed block sequence is lexicographically
+    largest.
+
+    A state's key is ``S | j << k``.  Layers are key lists; ``f`` and the
+    chosen last block of each state sit in dicts that are only looked up.
     """
     m = len(inv)
     singleton_set = set(singletons)
     big = [block for block in range(m) if block not in singleton_set]
     k, s = len(big), len(singletons)
-    size = 1 << k
-    _count_work("minla.closest.dp_states", size * (s + 1))
-    _count_work("minla.closest.dp_transitions", ((s + 1) * k * size >> 1) + s * size)
-    # columns[c][p]: cost of non-singleton ``big[p]`` before block ``c``.
-    columns = [[inv[block][other] for block in big] for other in range(m)]
-    big_columns = [columns[block] for block in big]
-    member_of = [(position, 1 << position) for position in range(k)]
-    members: List[Tuple[Tuple[int, int], ...]] = [()] * size
-    start = [sum(inv[block]) for block in big]
-    choices: List[List[int]] = []
-    dp: List[int] = []
-    for layer in range(s + 1):
-        previous = dp
-        dp = [0] * size
-        choice = [0] * size
-        remaining: List[List[int]] = [[]] * size
-        if layer:
-            # The ``layer``-th singleton joins: it leaves every
-            # non-singleton's outside set, and its own outside set is all
-            # blocks but the earlier singletons and the members of ``S``.
-            joined = singletons[layer - 1]
-            start = list(map(sub, start, columns[joined]))
-            joined_row = inv[joined]
-            joined_big = [joined_row[block] for block in big]
-            joined_remaining = [0] * size
-            joined_remaining[0] = sum(joined_row) - sum(
-                joined_row[block] for block in singletons[:layer]
-            )
-            dp[0] = previous[0] + joined_remaining[0]
-            choice[0] = -1
-        remaining[0] = start
-        for mask in range(1, size):
-            low = mask & -mask
-            low_position = low.bit_length() - 1
-            rest = mask ^ low
-            remaining_here = list(map(sub, remaining[rest], big_columns[low_position]))
-            remaining[mask] = remaining_here
-            if layer:
-                members_here = members[mask]
-            else:  # layer 0 builds the member tuples later layers reuse
-                members_here = members[rest] + (member_of[low_position],)
-                members[mask] = members_here
-            best_position, bit = members_here[0]
-            best = dp[mask ^ bit] + remaining_here[best_position]
-            for position, bit in members_here:
-                candidate = dp[mask ^ bit] + remaining_here[position]
-                if candidate < best:
-                    best = candidate
-                    best_position = position
-            if layer:
-                joined_here = joined_remaining[rest] - joined_big[low_position]
-                joined_remaining[mask] = joined_here
-                candidate = previous[mask] + joined_here
-                if candidate < best or (candidate == best and joined > big[best_position]):
-                    best = candidate
-                    best_position = -1
-            dp[mask] = best
-            choice[mask] = best_position
-        choices.append(choice)
+    columns = [list(column) for column in zip(*inv)]
+    net = [sum(inv[block]) - sum(columns[block]) for block in range(m)]
+    upper = _order_cost(_local_search(sorted(range(m), key=net.__getitem__), inv), inv)
+    half = k >> 1
+    low_mask = (1 << half) - 1
+    step = 1 << k  # adds one singleton to a key
+    bit_of = [step] * m
+    for position, block in enumerate(big):
+        bit_of[block] = 1 << position
+
+    def move(block: int) -> Tuple[int, int, List[int], List[int], List[int]]:
+        # rest[j] − lows[S & low_mask] − highs[S >> half] is the sum of
+        # excess[block][o] over the blocks o outside state (S, j).
+        excess = list(map(sub, inv[block], map(min, inv[block], columns[block])))
+        rest = list(
+            accumulate((excess[t] for t in singletons), sub, initial=sum(excess))
+        )
+        lows = _subset_sums([excess[other] for other in big[:half]])
+        highs = _subset_sums([excess[other] for other in big[half:]])
+        return bit_of[block], block, rest, lows, highs
+
+    big_moves = [move(block) for block in big]
+    singleton_moves = [move(block) for block in singletons]
+    floor = sum(min(inv[a][b], inv[b][a]) for a, b in combinations(range(m), 2))
+    bounded = {0: floor}  # key -> f
+    last: Dict[int, int] = {}  # key -> block placed last
+    layer = [0]
+    transitions = 0
+    for _ in range(m):
+        next_layer: List[int] = []
+        for key in layer:
+            base = bounded[key]
+            j = key >> k
+            low = key & low_mask
+            high = (key & (step - 1)) >> half
+            moves = [entry for entry in big_moves if not key & entry[0]]
+            if j < s:
+                moves.append(singleton_moves[j])
+            for bit, block, rest, lows, highs in moves:
+                estimate = base + rest[j] - lows[low] - highs[high]
+                if estimate > upper:
+                    continue
+                transitions += 1
+                target = key + bit
+                incumbent = bounded.get(target)
+                if incumbent is None:
+                    next_layer.append(target)
+                elif estimate > incumbent or (
+                    estimate == incumbent and block < last[target]
+                ):
+                    continue
+                bounded[target] = estimate
+                last[target] = block
+        layer = next_layer
+    _count_work("minla.closest.dp_states", len(bounded) - 1)
+    _count_work("minla.closest.dp_transitions", transitions)
+    key = step * (s + 1) - 1
+    cost = bounded[key]
     order_reversed: List[int] = []
-    mask = size - 1
-    layer = s
-    while mask or layer:
-        position = choices[layer][mask]
-        if position < 0:
-            layer -= 1
-            order_reversed.append(singletons[layer])
-        else:
-            mask ^= 1 << position
-            order_reversed.append(big[position])
+    while key:
+        block = last[key]
+        order_reversed.append(block)
+        key -= bit_of[block]
     order_reversed.reverse()
-    return order_reversed, dp[size - 1]
+    return order_reversed, cost
 
 
 def _mean_position_order(pi0: Arrangement, blocks: Sequence[Block]) -> List[int]:

@@ -12,6 +12,7 @@ from repro.core.rand_lines import RandomizedLineLearner
 from repro.errors import ReproError
 from repro.graphs.reveal import GraphKind
 from repro.minla import closest
+from repro.obs.profile import work_delta, work_snapshot
 
 
 class TestAlgorithmResolution:
@@ -324,17 +325,26 @@ class TestPerfCommand:
         assert "counter drift" in diff
 
     def test_perf_run_attributes_the_solver(self, capsys, monkeypatch):
-        # Record the multi-node and one-node block counts of every exact
-        # solve, seen from outside the solver, on each module that holds a
-        # reference to it.
-        exact_block_counts = []
+        # Record the multi-node and one-node block counts and the DP
+        # counters of every exact solve, seen from outside the solver, on
+        # each module that holds a reference to it.
+        exact_solves = []
 
         def recording(solve):
             def wrapper(pi0, blocks, *args, **kwargs):
+                before = work_snapshot()
                 result = solve(pi0, blocks, *args, **kwargs)
                 if result.method == "exact":
+                    work = work_delta(before, work_snapshot())
                     singletons = sum(1 for block in blocks if block.size == 1)
-                    exact_block_counts.append((len(blocks) - singletons, singletons))
+                    exact_solves.append(
+                        (
+                            len(blocks) - singletons,
+                            singletons,
+                            work.get("minla.closest.dp_states", 0),
+                            work.get("minla.closest.dp_transitions", 0),
+                        )
+                    )
                 return result
 
             return wrapper
@@ -352,16 +362,20 @@ class TestPerfCommand:
         payload = json.loads(capsys.readouterr().out)
         zone_paths = [tuple(zone["path"]) for zone in payload["zones"]["zones"]]
         assert any(path[-2:] == ("opt.bounds", "closest.solve") for path in zone_paths)
-        assert exact_block_counts
+        assert exact_solves
+        # On k multi-node and s one-node blocks the bounded DP keeps the
+        # k + s states of the order it returns and at most the 2^k·(s+1)
+        # states of the unbounded DP; each kept state was reached by a kept
+        # candidate, and the unbounded DP pulls (s+1)·k·2^(k−1) + s·2^k.
+        for k, s, states, transitions in exact_solves:
+            assert k + s <= states <= (1 << k) * (s + 1)
+            assert states <= transitions <= (s + 1) * (k << k >> 1) + s * (1 << k)
         work = payload["work"]
-        # The DP visits 2^k·(s+1) states on k multi-node and s one-node
-        # blocks; each pulls from its multi-node members and, past the
-        # first layer, from the layer below.
         assert work["minla.closest.dp_states"] == sum(
-            (1 << k) * (s + 1) for k, s in exact_block_counts
+            states for _, _, states, _ in exact_solves
         )
         assert work["minla.closest.dp_transitions"] == sum(
-            (s + 1) * (k << k >> 1) + s * (1 << k) for k, s in exact_block_counts
+            transitions for _, _, _, transitions in exact_solves
         )
 
     def test_perf_run_without_target_errors(self, capsys):

@@ -2,11 +2,15 @@
 
 :func:`repro.minla.closest._exact_order_dp` runs over subsets of the
 multi-node blocks times the number of one-node blocks placed in ``π_0``
-order.  These tests hold it to the layered ``O(2^m · m²)`` push DP over all
-subsets, copied below as the reference: on tie-heavy cost matrices with no
-singletons, where the tie-break decides the order, and on real ``π_0``
-instances with many singletons; to a brute-force minimum over all block
-orders; and hold the one-pass cross matrix of
+order, and keeps only the states that a greedy upper bound and a pairwise
+lower bound leave open.  These tests hold it to the layered
+``O(2^m · m²)`` push DP over all subsets, copied below as the reference:
+on tie-heavy cost matrices with no singletons, where the tie-break decides
+the order, and on real ``π_0`` instances with many singletons.  They also
+hold it, independently of that reference, to a brute force over all block
+orders that picks the optimum whose reversed block sequence is
+lexicographically largest, pin its work counters on one fixed instance, and
+hold the one-pass cross matrix of
 :func:`repro.minla.closest._pairwise_inversions` to pairwise
 :func:`repro.telemetry.backends.count_cross_inversions` counts.  The OPT
 prefix walk, which skips exact solves its greedy distance shows cannot
@@ -33,6 +37,7 @@ from repro.minla.closest import (
     blocks_from_forest,
     closest_feasible_arrangement,
 )
+from repro.obs.profile import work_delta, work_snapshot
 from repro.telemetry.backends import count_cross_inversions
 from repro.workloads.generation import random_clique_merge_sequence, random_line_sequence
 
@@ -71,6 +76,15 @@ def _reference_order_dp(inv):
         mask ^= 1 << block
     order_reversed.reverse()
     return order_reversed, dp[full]
+
+
+def _brute_force_order(inv):
+    """The cheapest block order; among ties, the one whose reverse is largest."""
+    orders = list(itertools.permutations(range(len(inv))))
+    costs = [_order_cost(order, inv) for order in orders]
+    best = min(costs)
+    tied = [order for order, cost in zip(orders, costs) if cost == best]
+    return list(max(tied, key=lambda order: order[::-1])), best
 
 
 @st.composite
@@ -150,16 +164,40 @@ class TestExactOrderDP:
         singletons = _singletons_in_pi0_order(pi0, blocks)
         assert _exact_order_dp(inv, singletons) == _reference_order_dp(inv)
 
+
+class TestTieBreakByBruteForce:
+    """The returned order is the brute-force optimum with the largest reversed sequence."""
+
     @given(tie_heavy_matrices(max_blocks=7))
     @settings(max_examples=60, deadline=None)
-    def test_cost_is_the_brute_force_minimum(self, inv):
-        order, cost = _exact_order_dp(inv, ())
-        assert sorted(order) == list(range(len(inv)))
-        assert _order_cost(order, inv) == cost
-        assert cost == min(
-            _order_cost(candidate, inv)
-            for candidate in itertools.permutations(range(len(inv)))
-        )
+    def test_tie_heavy_matrices(self, inv):
+        assert _exact_order_dp(inv, ()) == _brute_force_order(inv)
+
+    @given(singleton_heavy_blocks(max_blocks=7))
+    @settings(max_examples=60, deadline=None)
+    def test_pi0_instances_with_singletons(self, case):
+        pi0, blocks = case
+        inv = _pairwise_inversions(pi0, blocks)
+        singletons = _singletons_in_pi0_order(pi0, blocks)
+        assert _exact_order_dp(inv, singletons) == _brute_force_order(inv)
+
+
+class TestBoundedSearchWork:
+    def test_golden_counts_on_a_fixed_instance(self):
+        # Four multi-node and four one-node blocks: the unbounded DP has
+        # 2^4 · 5 = 80 states (79 past the empty one) and 224 candidates.
+        pi0 = Arrangement([9, 1, 10, 5, 8, 2, 12, 11, 7, 4, 3, 0, 6])
+        blocks = [
+            Block(BlockKind.FREE, nodes)
+            for nodes in [(0, 7, 8), (2, 4), (6, 10), (3, 5), (11,), (12,), (9,), (1,)]
+        ]
+        inv = _pairwise_inversions(pi0, blocks)
+        before = work_snapshot()
+        result = _exact_order_dp(inv, _singletons_in_pi0_order(pi0, blocks))
+        work = work_delta(before, work_snapshot())
+        assert result == ([6, 7, 3, 5, 4, 0, 1, 2], 22) == _brute_force_order(inv)
+        assert work["minla.closest.dp_states"] == 29
+        assert work["minla.closest.dp_transitions"] == 62
 
 
 class TestPairwiseInversions:
