@@ -157,10 +157,6 @@ class Arrangement:
         """A fresh ``node -> position`` dictionary."""
         return dict(self._positions)
 
-    def order_list(self) -> List[Node]:
-        """The nodes from left to right as a fresh list."""
-        return list(self._order)
-
     def positions_of(self, nodes: Iterable[Node]) -> List[int]:
         """The positions of ``nodes``, in iteration order."""
         positions = self._positions
@@ -398,8 +394,9 @@ class MutableArrangement:
     Node labels are interned into dense integer indices once at construction;
     afterwards the arrangement is two plain int arrays (``order``: position →
     node index, ``position``: node index → position) that the block operations
-    rewrite in place.  Every operation returns the exact number of adjacent
-    swaps it performed, with the same semantics (and the same
+    rewrite in place; :attr:`labels` is the fixed index → label tuple and
+    :meth:`index_order` copies ``order``.  Every operation returns the exact
+    number of adjacent swaps it performed, with the same semantics (and the same
     :class:`~repro.errors.ArrangementError` validation) as the corresponding
     :class:`Arrangement` method.
 
@@ -422,13 +419,13 @@ class MutableArrangement:
     __slots__ = ("_labels", "_index_of", "_order", "_position")
 
     def __init__(self, order: Iterable[Node]):
-        labels = list(order)
+        labels = tuple(order)
         index_of: Dict[Node, int] = {}
         for index, node in enumerate(labels):
             if node in index_of:
                 raise ArrangementError(f"duplicate node {node!r} in arrangement")
             index_of[node] = index
-        self._labels: List[Node] = labels
+        self._labels: Tuple[Node, ...] = labels
         self._index_of: Dict[Node, int] = index_of
         self._order: List[int] = list(range(len(labels)))
         self._position: List[int] = list(range(len(labels)))
@@ -467,9 +464,14 @@ class MutableArrangement:
         except KeyError as exc:
             raise ArrangementError(f"node {node!r} is not part of the arrangement") from exc
 
-    def order_list(self) -> List[Node]:
-        """The nodes from left to right as a fresh list."""
-        return list(map(self._labels.__getitem__, self._order))
+    @property
+    def labels(self) -> Tuple[Node, ...]:
+        """The interned labels: node index ``i`` stands for ``labels[i]``."""
+        return self._labels
+
+    def index_order(self) -> List[int]:
+        """The node indices from left to right as a fresh list (see :attr:`labels`)."""
+        return self._order.copy()
 
     def positions_of(self, nodes: Iterable[Node]) -> List[int]:
         """The positions of ``nodes``, in iteration order."""

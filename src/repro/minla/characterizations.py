@@ -18,7 +18,8 @@ an online algorithm, that the maintained permutation really is a MinLA of the
 revealed subgraph — the hard feasibility requirement of the learning model.
 
 All predicates are duck-typed over *arrangement views*: anything exposing
-``position``/``span``/``is_contiguous``/``__getitem__``/``__len__`` (both
+``position``/``span``/``is_contiguous``/``__getitem__``/``__len__``, plus
+``__iter__``/``positions_of`` for :class:`IncrementalStepVerifier` (both
 :class:`~repro.core.permutation.Arrangement` and
 :class:`~repro.core.permutation.MutableArrangement` qualify), so per-step
 verification can run against an algorithm's live mutable state without
@@ -37,9 +38,9 @@ so exactly the same violations are detected either way.
 from __future__ import annotations
 
 from itertools import filterfalse
-from typing import Hashable, Iterable, List, Sequence, Tuple, Union
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.core.permutation import Arrangement
+from repro.core.permutation import Arrangement, MutableArrangement
 from repro.obs.profile import count_work as _count_work
 from repro.telemetry.backends import count_inversions
 from repro.errors import ArrangementError
@@ -51,8 +52,9 @@ from repro.minla.cost import optimal_clique_cost, optimal_path_cost
 Node = Hashable
 Forest = Union[CliqueForest, LineForest]
 
-#: Slice width of the verifier's search for the ends of a step's mismatch window.
-_SCAN_CHUNK = 64
+#: Slice widths, widest first, of the verifier's search for the ends of a
+#: step's mismatch window; single positions are compared after the last.
+_SCAN_CHUNKS = (64, 8)
 
 
 def is_minla_of_cliques(
@@ -117,6 +119,33 @@ class IncrementalStepVerifier:
     :func:`is_minla_of_forest` check, so the outcome is always identical to
     re-validating the entire forest; only the cost of reaching it differs.
 
+    **Index lists.**  The verifier interns ``initial_order`` into dense int
+    indices and keeps every order as a list of them.  A
+    :class:`~repro.core.permutation.MutableArrangement` interned in the same
+    label order (equal :attr:`~repro.core.permutation.MutableArrangement.labels`,
+    compared once per run and by identity after that) hands over a copy of
+    its own index list; every other view is mapped label by label through
+    the verifier's own table, and a label outside it raises
+    :class:`~repro.errors.ArrangementError`.  Either way the verifier holds
+    its own copy of the previous order and compares whole orders, so it
+    trusts neither the algorithm nor the arrangement's bookkeeping.
+
+    **Guard 2 in slices.**  Guard 1 proves that the merged block fills
+    exactly ``[lo, hi]``, so the untouched nodes of the new window are the
+    window minus that interval: at most two slices.  Only the previous
+    window is filtered against the merged node set.
+
+    **Guard 2 on a rotation.**  The dominant update shape, a block slide,
+    turns the previous window ``X+Y`` into ``Y+X`` (see
+    :meth:`_kendall_tau_from_previous`).  Write ``uX``/``uY`` for the
+    untouched nodes of ``X``/``Y`` in order; guard 2 then asks whether
+    ``uX+uY == uY+uX``.  If ``uX`` or ``uY`` is empty both sides are the
+    same list.  If both are non-empty, the left side starts with a node of
+    ``X`` and the right side with a node of ``Y``; ``X`` and ``Y`` are
+    disjoint, so the lists differ.  Hence guard 2 holds iff ``X`` or ``Y``
+    consists of merged nodes only — at most ``O(|merged|)`` membership
+    tests, because a subset test stops at the first untouched node.
+
     The verifier also measures each step's true Kendall-tau distance from its
     own copy of the previous order (see :meth:`_kendall_tau_from_previous`),
     giving the simulator a cost cross-check that is independent of whatever
@@ -125,7 +154,15 @@ class IncrementalStepVerifier:
 
     def __init__(self, forest: Forest, initial_order: Iterable[Node]):
         self._forest = forest
-        self._previous_order: List[Node] = list(initial_order)
+        labels = tuple(initial_order)
+        self._labels: Tuple[Node, ...] = labels
+        self._index_of: Dict[Node, int] = dict(zip(labels, range(len(labels))))
+        if len(self._index_of) != len(labels):
+            raise ArrangementError("duplicate node in the initial order")
+        self._previous_order: List[int] = list(range(len(labels)))
+        # The label tuple of a MutableArrangement already proven equal to
+        # ``_labels``: its index lists can be compared with ours directly.
+        self._shared_labels: Optional[Tuple[Node, ...]] = None
 
     @property
     def forest(self) -> Forest:
@@ -153,25 +190,25 @@ class IncrementalStepVerifier:
         Updates the stored previous order when (and only when) the
         arrangement is feasible, so one verifier instance tracks one run.
         """
-        order = arrangement.order_list()
-        kendall_tau, w_lo, w_hi = self._kendall_tau_from_previous(order)
+        order = self._index_order(arrangement)
+        kendall_tau, w_lo, w_hi, x_len = self._kendall_tau_from_previous(order)
         positions = arrangement.positions_of(merged)
         lo, hi = min(positions), max(positions)
         contiguous = hi - lo + 1 == len(positions)
+        merged_indices = list(map(self._index_of.__getitem__, merged))
         if isinstance(self._forest, CliqueForest):
             merged_ok = contiguous
         else:
             # A path must additionally be laid out in path order, in one of
             # its two orientations.
-            merged_list = list(merged)
-            window = order[lo : hi + 1]
+            block = order[lo : hi + 1]
             merged_ok = contiguous and (
-                window == merged_list or window == merged_list[::-1]
+                block == merged_indices or block == merged_indices[::-1]
             )
         if not merged_ok:
             return False, kendall_tau
         feasible = self._step_left_rest_untouched(
-            order, set(merged), lo, hi, w_lo, w_hi
+            order, set(merged_indices), lo, hi, w_lo, w_hi, x_len
         )
         if feasible:
             _count_work("minla.verifier.incremental_checks")
@@ -184,70 +221,96 @@ class IncrementalStepVerifier:
             self._previous_order = order
         return feasible, kendall_tau
 
-    def _kendall_tau_from_previous(self, order: List[Node]) -> Tuple[int, int, int]:
+    def _index_order(self, arrangement) -> List[int]:
+        """``arrangement``'s order as a fresh list of the verifier's indices."""
+        if isinstance(arrangement, MutableArrangement):
+            labels = arrangement.labels
+            if labels is self._shared_labels:
+                return arrangement.index_order()
+            if labels == self._labels:
+                self._shared_labels = labels
+                return arrangement.index_order()
+        try:
+            return list(map(self._index_of.__getitem__, arrangement))
+        except KeyError:
+            raise ArrangementError("the node universe changed during an update") from None
+
+    def _kendall_tau_from_previous(self, order: List[int]) -> Tuple[int, int, int, int]:
         """Kendall-tau distance between the stored previous order and ``order``.
 
-        Returns ``(distance, w_lo, w_hi)``, where ``[w_lo, w_hi]`` is the
-        minimal window of mismatching positions (``w_lo > w_hi`` when the
+        Returns ``(distance, w_lo, w_hi, x_len)``, where ``[w_lo, w_hi]`` is
+        the minimal window of mismatching positions (``w_lo > w_hi`` when the
         orders are equal).  Every node outside the window kept its exact
         position, so no pair involving such a node changed relative order;
         the distance therefore equals the inversion count inside the window
         — ``O(w log w)`` for a window of size ``w`` instead of
         ``O(n log n)`` for the whole arrangement.  The dominant update shape,
-        a block slide, rotates its window (``A+B`` becomes ``B+A`` with both
-        parts order-preserved, flipping exactly ``|A|·|B|`` pairs); that case
-        is recognized with two slice comparisons and costs no inversion count
-        at all.  The window's ends are found with chunked slice comparisons,
-        so the unchanged prefix and suffix cost C-level work only.
+        a block slide, rotates its window (``X+Y`` becomes ``Y+X`` with both
+        parts order-preserved, flipping exactly ``|X|·|Y|`` pairs); that case
+        is recognized with two slice comparisons, costs no inversion count
+        at all, and reports ``x_len = |X|`` (``-1`` for any other shape).
+        The window's ends are found with slice comparisons that narrow in
+        steps of 64, 8 and 1, so the unchanged prefix and suffix cost
+        C-level work only.
         """
         previous = self._previous_order
         n = len(previous)
         if len(order) != n:
             raise ArrangementError("the node universe changed during an update")
         if order == previous:
-            return 0, 0, -1
+            return 0, 0, -1, -1
         lo = 0
-        while previous[lo : lo + _SCAN_CHUNK] == order[lo : lo + _SCAN_CHUNK]:
-            lo += _SCAN_CHUNK
+        for chunk in _SCAN_CHUNKS:
+            while previous[lo : lo + chunk] == order[lo : lo + chunk]:
+                lo += chunk
         while previous[lo] == order[lo]:
             lo += 1
         hi = n
-        while True:
-            start = max(hi - _SCAN_CHUNK, lo)
-            if previous[start:hi] != order[start:hi]:
-                break
-            hi = start
+        for chunk in _SCAN_CHUNKS:
+            while True:
+                start = max(hi - chunk, lo)
+                if previous[start:hi] != order[start:hi]:
+                    break
+                hi = start
         hi -= 1
         while previous[hi] == order[hi]:
             hi -= 1
-        prev_window = previous[lo : hi + 1]
-        window = order[lo : hi + 1]
         width = hi - lo + 1
         try:
-            split = window.index(prev_window[0])
+            split = order.index(previous[lo], lo, hi + 1) - lo
         except ValueError:
             raise ArrangementError("the node universe changed during an update") from None
+        x_len = width - split
         if (
-            window[split:] == prev_window[: width - split]
-            and window[:split] == prev_window[width - split :]
+            order[lo + split : hi + 1] == previous[lo : lo + x_len]
+            and order[lo : lo + split] == previous[lo + x_len : hi + 1]
         ):
-            return (width - split) * split, lo, hi
-        window_position = dict(zip(window, range(width)))
+            return x_len * split, lo, hi, x_len
+        window_position = dict(zip(order[lo : hi + 1], range(width)))
         try:
-            sequence = list(map(window_position.__getitem__, prev_window))
+            sequence = list(map(window_position.__getitem__, previous[lo : hi + 1]))
         except KeyError:
             raise ArrangementError("the node universe changed during an update") from None
-        return count_inversions(sequence), lo, hi
+        return count_inversions(sequence), lo, hi, -1
 
     def _step_left_rest_untouched(
-        self, order: List[Node], touched: set, lo: int, hi: int, w_lo: int, w_hi: int
+        self,
+        order: List[int],
+        touched: Set[int],
+        lo: int,
+        hi: int,
+        w_lo: int,
+        w_hi: int,
+        x_len: int,
     ) -> bool:
         """Sufficient condition: only the merged component moved this step.
 
-        ``lo``/``hi`` bound the merged component's (contiguous) span and
-        ``[w_lo, w_hi]`` is the step's mismatch window.  Checks guards (2)
-        and (3) of the class docstring.  A ``False`` return is not a
-        violation — merely a signal to run the full check.
+        ``lo``/``hi`` bound the merged component's (contiguous) span,
+        ``[w_lo, w_hi]`` is the step's mismatch window and ``x_len`` the
+        length of its first half when the step rotated it (``-1``
+        otherwise).  Checks guards (2) and (3) of the class docstring.  A
+        ``False`` return is not a violation — merely a signal to run the
+        full check.
         """
         # Guard 3: the merged block must not split another component.  The
         # merged component is contiguous (guard 1 passed), so the only way an
@@ -255,15 +318,27 @@ class IncrementalStepVerifier:
         # order is having the merged block land strictly inside its span —
         # in which case both block neighbours belong to that component.
         if lo > 0 and hi + 1 < len(order):
-            if self._forest.same_component(order[lo - 1], order[hi + 1]):
+            labels = self._labels
+            if self._forest.same_component(labels[order[lo - 1]], labels[order[hi + 1]]):
                 return False
         # Guard 2: untouched nodes must appear in the same relative order as
         # before the step.  Nodes outside the mismatch window kept their
         # exact positions, so the filtered full orders agree iff the filtered
-        # windows do; an empty window passes.
-        is_touched = touched.__contains__
-        return list(filterfalse(is_touched, order[w_lo : w_hi + 1])) == list(
-            filterfalse(is_touched, self._previous_order[w_lo : w_hi + 1])
+        # windows do; an empty window passes.  A rotated window passes iff
+        # one of its halves is all merged nodes (class docstring); otherwise
+        # the new window's untouched nodes are the parts left and right of
+        # the merged block, which fills exactly ``[lo, hi]`` (guard 1).
+        previous = self._previous_order
+        if x_len >= 0:
+            split = w_lo + x_len
+            return touched.issuperset(previous[w_lo:split]) or touched.issuperset(
+                previous[split : w_hi + 1]
+            )
+        untouched_now = (
+            order[w_lo : min(lo, w_hi + 1)] + order[max(hi + 1, w_lo) : w_hi + 1]
+        )
+        return untouched_now == list(
+            filterfalse(touched.__contains__, previous[w_lo : w_hi + 1])
         )
 
 

@@ -853,8 +853,23 @@ class TestAnalyzeCLI:
         bad.write_text("import random\nvalue = random.random()\n")
         return tmp_path
 
-    def test_exit_zero_on_clean_tree(self, capsys):
-        assert analyze_main([str(SRC_TREE)]) == 0
+    def write_clean_tree(self, tmp_path):
+        """The bad tree's module done right: randomness from a passed-in RNG.
+
+        The CLI tests check exit codes and dispatch; ``TestSelfHost`` and
+        the CI analyze step hold the real ``src/`` tree clean.
+        """
+        good = tmp_path / "repro" / "core" / "good.py"
+        good.parent.mkdir(parents=True)
+        good.write_text(
+            "import random\n\n\n"
+            "def draw(rng: random.Random) -> float:\n"
+            "    return rng.random()\n"
+        )
+        return tmp_path
+
+    def test_exit_zero_on_clean_tree(self, tmp_path, capsys):
+        assert analyze_main([str(self.write_clean_tree(tmp_path))]) == 0
         out = capsys.readouterr().out
         assert "0 new finding(s)" in out
 
@@ -901,8 +916,10 @@ class TestAnalyzeCLI:
         for rule_id in rule_catalog():
             assert rule_id in out
 
-    def test_repro_cli_dispatches_analyze(self, capsys):
+    def test_repro_cli_dispatches_analyze(self, tmp_path, capsys):
         from repro.cli import main as repro_main
 
-        assert repro_main(["analyze", str(SRC_TREE)]) == 0
+        assert repro_main(["analyze", str(self.write_clean_tree(tmp_path))]) == 0
         assert "0 new finding(s)" in capsys.readouterr().out
+        assert repro_main(["analyze", str(self.write_bad_tree(tmp_path / "bad"))]) == 1
+        assert "DET001" in capsys.readouterr().out

@@ -1,13 +1,16 @@
 """Property tests for the incremental step verifier.
 
 :class:`~repro.minla.characterizations.IncrementalStepVerifier` checks each
-step inside its mismatch window only: the window holds every node that
-moved, so guard 2 (untouched nodes keep their relative order) and the
-Kendall-tau measurement never look outside it.  These tests hold the
-windowed verifier to a reference that works on full orders — guard 2 over
-the full filtered lists, Kendall tau by merge sort — on random Rand runs,
-on randomly corrupted arrangements, and on illegal moves injected into a
-run through :func:`~repro.core.simulator.run_online`.
+step on interned index lists and inside its mismatch window only: the window
+holds every node that moved, so guard 2 (untouched nodes keep their relative
+order) and the Kendall-tau measurement never look outside it, and a rotated
+window settles guard 2 by its two halves.  These tests hold the windowed
+verifier to :class:`FullOrderVerifier`, a reference that shares none of
+that machinery — label lists, guard 2 over the full filtered lists, Kendall
+tau by merge sort — on random Rand runs, on randomly corrupted
+arrangements, on rotation-shaped corruptions, on arrangements interned in
+another label order, and on illegal moves injected into a run through
+:func:`~repro.core.simulator.run_online`.
 """
 
 import contextlib
@@ -20,19 +23,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.instance import OnlineMinLAInstance
-from repro.core.permutation import Arrangement
+from repro.core.permutation import Arrangement, MutableArrangement
 from repro.core.rand_cliques import RandomizedCliqueLearner
 from repro.core.rand_lines import RandomizedLineLearner
 from repro.core.simulator import run_online
 from repro.errors import ArrangementError, InfeasibleArrangementError, ReproError
 from repro.graphs.clique_forest import CliqueForest
 from repro.graphs.generators import random_clique_merge_sequence, random_line_sequence
+from repro.graphs.line_forest import LineForest
 from repro.graphs.reveal import RevealStep
 from repro.minla.characterizations import IncrementalStepVerifier, is_minla_of_forest
-from repro.obs.profile import work_snapshot
+from repro.obs.profile import count_work, work_snapshot
 from repro.telemetry.backends import MergeSortBackend
 
 REFERENCE = MergeSortBackend()
+
+UNIVERSE_CHANGED = "the node universe changed during an update"
 
 KINDS = {
     "cliques": (random_clique_merge_sequence, RandomizedCliqueLearner),
@@ -40,30 +46,76 @@ KINDS = {
 }
 
 
-class FullOrderVerifier(IncrementalStepVerifier):
-    """The verifier with both window shortcuts replaced by full-order scans."""
+class FullOrderVerifier:
+    """A reference for the windowed verifier that checks whole label orders.
 
-    def _kendall_tau_from_previous(self, order):
+    It has the same ``observe``/``check_step`` surface and takes the same
+    path: guard 1 on the merged component, then guards 2 and 3, counted as an
+    incremental check when they pass and as a full check (followed by
+    :func:`is_minla_of_forest`) when they do not.  Guard 2 compares the
+    untouched nodes of the whole previous and current orders, and Kendall
+    tau is a merge-sort inversion count over the whole order.
+    """
+
+    def __init__(self, forest, initial_order):
+        self.forest = forest
+        self._previous_order = list(initial_order)
+
+    def observe(self, step):
+        if isinstance(self.forest, CliqueForest):
+            return self.forest.merge(step.u, step.v).merged
+        return self.forest.add_edge(step.u, step.v).merged
+
+    def check_step(self, arrangement, merged):
+        order = list(arrangement)
         previous = self._previous_order
         position = {node: index for index, node in enumerate(order)}
         if len(order) != len(previous) or set(position) != set(previous):
-            raise ArrangementError("the node universe changed during an update")
+            raise ArrangementError(UNIVERSE_CHANGED)
         kendall_tau = REFERENCE.count_inversions([position[node] for node in previous])
-        return kendall_tau, 0, len(order) - 1
-
-    def _step_left_rest_untouched(self, order, touched, lo, hi, w_lo, w_hi):
-        if lo > 0 and hi + 1 < len(order):
-            if self._forest.same_component(order[lo - 1], order[hi + 1]):
-                return False
+        positions = [position[node] for node in merged]
+        lo, hi = min(positions), max(positions)
+        merged_ok = hi - lo + 1 == len(positions)
+        if merged_ok and isinstance(self.forest, LineForest):
+            path = list(merged)
+            merged_ok = order[lo : hi + 1] in (path, path[::-1])
+        if not merged_ok:
+            return False, kendall_tau
+        touched = set(merged)
+        splits_a_component = (
+            0 < lo
+            and hi + 1 < len(order)
+            and self.forest.same_component(order[lo - 1], order[hi + 1])
+        )
         untouched_now = [node for node in order if node not in touched]
-        untouched_before = [node for node in self._previous_order if node not in touched]
-        return untouched_now == untouched_before
+        untouched_before = [node for node in previous if node not in touched]
+        if not splits_a_component and untouched_now == untouched_before:
+            count_work("minla.verifier.incremental_checks")
+            feasible = True
+        else:
+            count_work("minla.verifier.full_checks")
+            feasible = is_minla_of_forest(arrangement, self.forest)
+        if feasible:
+            self._previous_order = order
+        return feasible, kendall_tau
 
 
 def _make_instance(kind, n, workload_seed):
     generator, _ = KINDS[kind]
     rng = random.Random(workload_seed)
     return OnlineMinLAInstance.with_random_start(generator(n, rng), rng)
+
+
+def _start_run(kind, n, workload_seed, algorithm_seed):
+    instance = _make_instance(kind, n, workload_seed)
+    learner = KINDS[kind][1]()
+    learner.reset(
+        nodes=instance.nodes,
+        kind=instance.kind,
+        initial_arrangement=instance.initial_arrangement,
+        rng=random.Random(algorithm_seed),
+    )
+    return instance, learner
 
 
 def _verifier_work():
@@ -74,20 +126,30 @@ def _verifier_work():
     }
 
 
+def _checked(verifier, arrangement, merged):
+    """One ``check_step``: its outcome (or error) and the counters it bumped."""
+    before = _verifier_work()
+    try:
+        outcome = verifier.check_step(arrangement, merged)
+    except ArrangementError as error:
+        outcome = ("error", str(error))
+    after = _verifier_work()
+    path = {name: after[name] - before.get(name, 0) for name in after}
+    return outcome, {name: delta for name, delta in path.items() if delta}
+
+
 def _check_both(windowed, full, arrangement, merged, full_merged):
     """Run both verifiers on one arrangement; their outcome and path must agree."""
-    outcomes = []
-    for verifier, component in ((windowed, merged), (full, full_merged)):
-        before = _verifier_work()
-        try:
-            outcome = verifier.check_step(arrangement, component)
-        except ArrangementError as error:
-            outcome = ("error", str(error))
-        after = _verifier_work()
-        path = {name: after[name] - before.get(name, 0) for name in after}
-        outcomes.append((outcome, path))
-    assert outcomes[0] == outcomes[1]
-    return outcomes[0][0]
+    checked = _checked(windowed, arrangement, merged)
+    assert checked == _checked(full, arrangement, full_merged)
+    return checked
+
+
+def _mutable(order, labels):
+    """A mutable arrangement holding ``order``, interned in ``labels`` order."""
+    arrangement = MutableArrangement(labels)
+    arrangement.rewrite_to(Arrangement(order))
+    return arrangement
 
 
 run_params = st.tuples(
@@ -104,14 +166,7 @@ class TestWindowedVerifierMatchesFullOrders:
     @settings(max_examples=80, deadline=None)
     def test_rand_runs_with_random_corruptions(self, params):
         kind, n, workload_seed, algorithm_seed, corruption_seed = params
-        instance = _make_instance(kind, n, workload_seed)
-        learner = KINDS[kind][1]()
-        learner.reset(
-            nodes=instance.nodes,
-            kind=instance.kind,
-            initial_arrangement=instance.initial_arrangement,
-            rng=random.Random(algorithm_seed),
-        )
+        instance, learner = _start_run(kind, n, workload_seed, algorithm_seed)
         windowed = IncrementalStepVerifier(
             instance.sequence.new_forest(), instance.initial_arrangement
         )
@@ -122,7 +177,7 @@ class TestWindowedVerifierMatchesFullOrders:
             merged = windowed.observe(step)
             full_merged = full.observe(step)
             view = learner.arrangement_view()
-            order = view.order_list()
+            order = list(view)
             # A feasible corruption becomes both verifiers' previous order,
             # so the honest step is then measured from it instead.
             corrupted_feasible = False
@@ -130,20 +185,164 @@ class TestWindowedVerifierMatchesFullOrders:
             if roll < 0.3:
                 i, j = corrupt.randrange(n), corrupt.randrange(n)
                 order[i], order[j] = order[j], order[i]
-                corrupted_feasible, _ = _check_both(
+                (corrupted_feasible, _), _ = _check_both(
                     windowed, full, Arrangement(order), merged, full_merged
                 )
             elif roll < 0.35:
                 order[corrupt.randrange(n)] = ("foreign",)
-                outcome = _check_both(
+                outcome, _ = _check_both(
                     windowed, full, Arrangement(order), merged, full_merged
                 )
-                assert outcome[0] == "error"
-            feasible, kendall_tau = _check_both(windowed, full, view, merged, full_merged)
+                assert outcome == ("error", UNIVERSE_CHANGED)
+            (feasible, kendall_tau), _ = _check_both(
+                windowed, full, view, merged, full_merged
+            )
             assert feasible
             if not corrupted_feasible:
                 assert kendall_tau == record.kendall_tau
 
+    @given(run_params)
+    @settings(max_examples=60, deadline=None)
+    def test_mutable_views_interned_in_another_label_order(self, params):
+        kind, n, workload_seed, algorithm_seed, corruption_seed = params
+        instance, learner = _start_run(kind, n, workload_seed, algorithm_seed)
+        own_labels = list(instance.initial_arrangement)
+        other_labels = list(own_labels)
+        corrupt = random.Random(corruption_seed)
+        corrupt.shuffle(other_labels)
+        forest = instance.sequence.new_forest
+        initial = instance.initial_arrangement
+        shared = IncrementalStepVerifier(forest(), initial)
+        reinterned = IncrementalStepVerifier(forest(), initial)
+        full = FullOrderVerifier(forest(), initial)
+        for step in instance.steps:
+            record = learner.process(step)
+            merged = shared.observe(step)
+            reinterned_merged = reinterned.observe(step)
+            full_merged = full.observe(step)
+            order = list(learner.arrangement_view())
+            views = [order]
+            if corrupt.random() < 0.3:
+                corrupted = list(order)
+                i, j = corrupt.randrange(n), corrupt.randrange(n)
+                corrupted[i], corrupted[j] = corrupted[j], corrupted[i]
+                views.insert(0, corrupted)
+            for view in views:
+                checked = _check_both(
+                    shared, full, _mutable(view, own_labels), merged, full_merged
+                )
+                assert _checked(
+                    reinterned, _mutable(view, other_labels), reinterned_merged
+                ) == checked
+            (feasible, kendall_tau), _ = checked
+            assert feasible
+            if len(views) == 1:
+                assert kendall_tau == record.kendall_tau
+
+    @given(run_params)
+    @settings(max_examples=40, deadline=None)
+    def test_foreign_node_raises_through_both_view_types(self, params):
+        kind, n, workload_seed, algorithm_seed, corruption_seed = params
+        instance, learner = _start_run(kind, n, workload_seed, algorithm_seed)
+        labels = list(instance.initial_arrangement)
+        windowed = IncrementalStepVerifier(
+            instance.sequence.new_forest(), instance.initial_arrangement
+        )
+        full = FullOrderVerifier(instance.sequence.new_forest(), instance.initial_arrangement)
+        pick = random.Random(corruption_seed)
+        at_step = pick.randrange(instance.num_steps)
+        for index, step in enumerate(instance.steps):
+            learner.process(step)
+            merged = windowed.observe(step)
+            full_merged = full.observe(step)
+            view = learner.arrangement_view()
+            if index == at_step:
+                order = list(view)
+                order[pick.randrange(n)] = ("foreign",)
+                for foreign in (Arrangement(order), MutableArrangement(order)):
+                    outcome, path = _check_both(
+                        windowed, full, foreign, merged, full_merged
+                    )
+                    assert (outcome, path) == (("error", UNIVERSE_CHANGED), {})
+            _check_both(windowed, full, view, merged, full_merged)
+        # An arrangement of another size leaves the universe as well.
+        longer = MutableArrangement(labels[:-1] + [("foreign",), ("other",)])
+        assert _check_both(windowed, full, longer, merged, full_merged)[0] == (
+            "error",
+            UNIVERSE_CHANGED,
+        )
+
+
+def _layout_forest(kind, order, sizes):
+    """A forest whose components are the consecutive runs of ``order``."""
+    forest = CliqueForest(order) if kind == "cliques" else LineForest(order)
+    blocks, start = [], 0
+    for size in sizes:
+        block = order[start : start + size]
+        for u, v in zip(block, block[1:]):
+            if kind == "cliques":
+                forest.merge(u, v)
+            else:
+                forest.add_edge(u, v)
+        blocks.append(block)
+        start += size
+    return forest, blocks
+
+
+class TestRotationShortcut:
+    @given(
+        st.sampled_from(sorted(KINDS)),
+        st.lists(st.integers(min_value=1, max_value=5), min_size=4, max_size=10),
+        st.integers(min_value=0, max_value=10_000),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_untouched_nodes_in_both_halves_go_to_the_full_check(
+        self, kind, sizes, seed, mirrored
+    ):
+        """``L+U1+A+U2+B+R`` becomes ``L+U2+U1+A+B+R`` on the reveal of ``A-B``.
+
+        The window rotates from ``X+Y = (U1+A)+U2`` to ``Y+X`` with untouched
+        nodes in both halves, so guard 2 must fail.  Guards 1 and 3 hold by
+        construction, so the step goes to the full check, whose verdict
+        depends on whether ``U1`` splits a component of ``L``.
+        """
+        pick = random.Random(seed)
+        nodes = list(range(sum(sizes)))
+        pick.shuffle(nodes)
+        forest, blocks = _layout_forest(kind, nodes, sizes)
+        a = pick.randrange(1, len(blocks) - 2)
+        b = pick.randrange(a + 2, len(blocks))
+        a_lo = sum(sizes[:a])
+        a_hi = a_lo + sizes[a]
+        b_lo = sum(sizes[:b])
+        u1_lo = pick.randrange(0, a_lo)
+        rotated = (
+            nodes[:u1_lo]
+            + nodes[a_hi:b_lo]
+            + nodes[u1_lo:a_lo]
+            + nodes[a_lo:a_hi]
+            + nodes[b_lo:]
+        )
+        step = RevealStep(blocks[a][-1], blocks[b][0])
+        previous = nodes
+        if mirrored:
+            previous, rotated = previous[::-1], rotated[::-1]
+        views = {
+            "immutable": Arrangement,
+            "mutable": lambda order: _mutable(order, previous),
+        }
+        for make_view in views.values():
+            windowed = IncrementalStepVerifier(forest.copy(), previous)
+            full = FullOrderVerifier(forest.copy(), previous)
+            merged = windowed.observe(step)
+            full_merged = full.observe(step)
+            (feasible, kendall_tau), path = _check_both(
+                windowed, full, make_view(rotated), merged, full_merged
+            )
+            assert path == {"minla.verifier.full_checks": 1}
+            assert feasible == is_minla_of_forest(Arrangement(rotated), full.forest)
+            assert kendall_tau == (a_lo - u1_lo + sizes[a]) * (b_lo - a_hi)
 
 def _window(before, after):
     moved = [index for index, (old, new) in enumerate(zip(before, after)) if old != new]
@@ -202,13 +401,13 @@ def corrupting_learner(kind, corruption, at_step, pick_seed):
             self._foreign_view = None
 
         def _handle_step_fast(self, step, arrangement):
-            before = arrangement.order_list()
+            before = list(arrangement)
             honest = super()._handle_step_fast(step, arrangement)
             self._seen += 1
             if self._seen - 1 != at_step:
                 return honest
             pick = random.Random(pick_seed)
-            order = arrangement.order_list()
+            order = list(arrangement)
             if corruption == "foreign-node":
                 order[pick.randrange(len(order))] = ("foreign",)
                 self._foreign_view = Arrangement(order)
@@ -296,8 +495,8 @@ class TestInjectedIllegalMoves:
         full_merged = full.observe(RevealStep(6, 7))
         corrupted = list(after)
         corrupted[1], corrupted[4] = corrupted[4], corrupted[1]
-        feasible, _ = _check_both(
+        (feasible, _), _ = _check_both(
             windowed, full, Arrangement(corrupted), merged, full_merged
         )
         assert not feasible
-        assert _check_both(windowed, full, Arrangement(after), merged, full_merged)[0]
+        assert _check_both(windowed, full, Arrangement(after), merged, full_merged)[0][0]
