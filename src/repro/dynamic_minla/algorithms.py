@@ -32,6 +32,11 @@ from repro.errors import ReproError
 from repro.graphs.components import DisjointSetForest
 from repro.graphs.line_forest import LineForest
 from repro.graphs.reveal import GraphKind, RevealStep
+from repro.workloads.streaming import (
+    iter_tenant_requests,
+    pair_count_weights,
+    split_groups,
+)
 
 Node = Hashable
 
@@ -174,25 +179,21 @@ def requests_from_clique_pattern(
 
     Nodes ``0 … sum(sizes)-1`` are partitioned into groups; every request
     picks a group (proportionally to the number of pairs it contains) and a
-    uniform pair inside it.  Returns the node universe and the request list.
+    uniform pair inside it — drawn by
+    :func:`repro.workloads.streaming.iter_tenant_requests`, the one
+    tenant-draw implementation.  Returns the node universe and the request
+    list.
     """
     if num_requests < 1:
         raise ReproError("num_requests must be positive")
-    if any(size < 2 for size in group_sizes):
-        raise ReproError("every group needs at least two nodes to generate requests")
-    nodes: List[Node] = list(range(sum(group_sizes)))
-    groups: List[List[Node]] = []
-    offset = 0
-    for size in group_sizes:
-        groups.append(nodes[offset : offset + size])
-        offset += size
-    weights = [len(group) * (len(group) - 1) // 2 for group in groups]
-    requests: List[DynamicRequest] = []
-    for _ in range(num_requests):
-        group = rng.choices(groups, weights=weights)[0]
-        u, v = rng.sample(group, 2)
-        requests.append(DynamicRequest(u, v))
-    return nodes, requests
+    groups = split_groups(group_sizes)
+    requests = [
+        DynamicRequest(u, v)
+        for u, v in iter_tenant_requests(
+            groups, pair_count_weights(groups), num_requests, rng
+        )
+    ]
+    return list(range(sum(group_sizes))), requests
 
 
 def requests_from_line_pattern(

@@ -57,15 +57,18 @@ class ShardPartition:
 
     def shard_of_pair(self, u: Node, v: Node) -> int:
         """The shard hosting both endpoints (cross-shard pairs raise)."""
+        # The routing hot path: two dict reads.  A pair that fails them has
+        # an unknown node (``shard_of`` raises) or crosses shards.
+        shard = self.node_to_shard.get(u)
+        if shard is not None and shard == self.node_to_shard.get(v):
+            return shard
         shard_u = self.shard_of(u)
         shard_v = self.shard_of(v)
-        if shard_u != shard_v:
-            raise ServiceError(
-                f"request ({u!r}, {v!r}) crosses shards {shard_u} and {shard_v}; "
-                "the partition must be component-aligned (requests and reveals "
-                "are intra-component in the paper's model)"
-            )
-        return shard_u
+        raise ServiceError(
+            f"request ({u!r}, {v!r}) crosses shards {shard_u} and {shard_v}; "
+            "the partition must be component-aligned (requests and reveals "
+            "are intra-component in the paper's model)"
+        )
 
     @property
     def num_nodes(self) -> int:

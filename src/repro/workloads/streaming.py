@@ -18,12 +18,25 @@ Two weighting schemes select which component a request lands in:
 The generator bodies reproduce the exact :class:`random.Random` call
 sequence of the pre-subsystem traffic module, so the adapters stay
 bit-identical for every seed (guarded by golden fingerprint tests).
+:func:`iter_tenant_requests` makes that loop's draws directly instead of
+through ``rng.choices(groups, cum_weights=...)[0]`` and
+``rng.sample(group, 2)``.  It copies what CPython 3.10–3.12 evaluates for
+those calls: the group is ``groups[bisect(cumulative, rng.random() * total,
+0, len(groups) - 1)]`` with ``total = cumulative[-1] + 0.0``, and the pair
+comes from ``sample``'s two ``rng._randbelow`` branches — the pool swap
+(``i = below(n)``, ``j = below(n - 1)``, slot ``i`` refilled from the last
+member) for groups of at most :data:`SAMPLE_POOL_MAX` members, and the
+rejection set (``j = below(n)`` redrawn until ``j != i``) above that.
+``tests/test_property_streaming.py`` pins the result against the stdlib
+calls on every supported Python.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from bisect import bisect
 from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
@@ -36,6 +49,12 @@ if TYPE_CHECKING:  # import would cycle through repro.vnet at runtime
     from repro.vnet.traffic import TrafficTrace
 
 WEIGHTINGS = ("pairs", "zipf")
+
+#: Largest population that ``random.Random.sample`` draws ``k <= 5`` members
+#: from by swapping inside a pool list; above it, it redraws rejected indices
+#: against a set.  CPython's ``setsize = 21`` ("size of a small set minus
+#: size of an empty list"), unchanged from 3.10 through 3.12.
+SAMPLE_POOL_MAX = 21
 
 
 def split_groups(group_sizes: Sequence[int]) -> List[List[Node]]:
@@ -91,18 +110,40 @@ def iter_tenant_requests(
 ) -> Iterator[Request]:
     """Lazily draw intra-tenant (clique) requests, one group pick per request.
 
-    Identical draw order to the historical ``tenant_traffic`` loop: one
-    weighted group choice, then a uniform node pair inside the group.  The
-    cumulative weights are accumulated once instead of per request —
-    ``random.choices`` consumes the same random draws either way, so the
-    stream stays bit-identical while a thousands-of-tenants fleet costs
-    ``O(log groups)`` per request instead of ``O(groups)``.
+    Makes the draws of the historical ``tenant_traffic`` loop —
+    ``rng.choices(groups, cum_weights=cumulative)[0]``, then
+    ``rng.sample(group, 2)`` — directly (see the module docstring): one
+    ``bisect`` and two ``_randbelow`` calls per request, plus a redraw when
+    a large group's second index repeats the first.  Invalid weights raise
+    the ``ValueError`` that ``random.choices`` raises.  A group with fewer
+    than two members is rejected up front: ``sample`` would raise when it is
+    picked, while ``_randbelow(0)`` never returns.
     """
     cumulative = list(itertools.accumulate(weights))
+    if len(cumulative) != len(groups):
+        raise ValueError("The number of weights does not match the population")
+    total = cumulative[-1] + 0.0
+    if total <= 0.0:
+        raise ValueError("Total of weights must be greater than zero")
+    if not math.isfinite(total):
+        raise ValueError("Total of weights must be finite")
+    if any(len(group) < 2 for group in groups):
+        raise ReproError("every traffic component needs at least two virtual nodes")
+    hi = len(cumulative) - 1
+    rand = rng.random
+    below = rng._randbelow
     for _ in range(num_requests):
-        group = rng.choices(groups, cum_weights=cumulative)[0]
-        u, v = rng.sample(group, 2)
-        yield (u, v)
+        group = groups[bisect(cumulative, rand() * total, 0, hi)]
+        n = len(group)
+        i = below(n)
+        if n <= SAMPLE_POOL_MAX:
+            j = below(n - 1)
+            yield (group[i], group[n - 1] if j == i else group[j])
+        else:
+            j = below(n)
+            while j == i:
+                j = below(n)
+            yield (group[i], group[j])
 
 
 def iter_pipeline_requests(

@@ -23,12 +23,18 @@ from repro.graphs.generators import (
     tenant_clique_sequence,
 )
 from repro.vnet.traffic import pipeline_traffic, tenant_traffic
+from repro.workloads.registry import get_scenario
 
 
 def _sequence_fingerprint(sequence) -> str:
     payload = repr(
         (sequence.kind.value, sequence.nodes, tuple(s.as_tuple() for s in sequence.steps))
     )
+    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+def _stream_fingerprint(stream) -> str:
+    payload = repr((stream.kind.value, stream.virtual_nodes, tuple(stream)))
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -98,6 +104,18 @@ TRAFFIC_GOLDEN = {
     ("pipeline_traffic", 42): "643ab2708cb2724c",
 }
 
+#: Streams of the scenario registry, fingerprinted before tenant traffic
+#: made its draws directly instead of through ``random.choices`` and
+#: ``random.sample``: the perfbench serve stream (zipf-tenants, n = 256,
+#: 100,000 requests), a single 40-node group (the rejection-set branch of
+#: ``sample``) and the datacenter-scale E12 stream.
+STREAM_GOLDEN = {
+    ("zipf-tenants", 256, 100_000, 0): "ec1edd8780d0b354",
+    ("zipf-tenants", 256, 100_000, 3): "ee368129fb69f20c",
+    ("growing-hotspot", 40, 5_000, 0): "63a3caf1061639d4",
+    ("datacenter-tenants", 1_000, 10_000, 0): "5bd240fc6d7f7e52",
+}
+
 TRAFFIC_BUILDERS = {
     "tenant_traffic": lambda rng: tenant_traffic([4, 4, 4], 120, rng),
     "pipeline_traffic": lambda rng: pipeline_traffic([4, 4, 4], 120, rng),
@@ -132,6 +150,12 @@ class TestTrafficAdapters:
     def test_traffic_bit_identical(self, name, seed):
         trace = TRAFFIC_BUILDERS[name](random.Random(seed))
         assert _trace_fingerprint(trace) == TRAFFIC_GOLDEN[(name, seed)]
+
+    @pytest.mark.parametrize("case", sorted(STREAM_GOLDEN))
+    def test_scenario_streams_bit_identical(self, case):
+        name, num_nodes, num_requests, seed = case
+        stream = get_scenario(name).request_stream(num_nodes, num_requests, seed)
+        assert _stream_fingerprint(stream) == STREAM_GOLDEN[case]
 
     def test_trace_matches_streamed_equivalent(self):
         # The materialized trace and a workloads stream over the same groups
