@@ -18,7 +18,7 @@ compares against the exact one.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 from repro.core.algorithm import OnlineMinLAAlgorithm
 from repro.core.permutation import MutableArrangement
@@ -26,7 +26,7 @@ from repro.graphs.clique_forest import CliqueForest
 from repro.graphs.reveal import RevealStep
 from repro.minla.closest import (
     DEFAULT_MAX_EXACT_BLOCKS,
-    blocks_from_forest,
+    ClosestSolver,
     closest_feasible_arrangement,
 )
 
@@ -54,12 +54,12 @@ class DeterministicClosestLearner(OnlineMinLAAlgorithm):
         super().__init__()
         self._method = method
         self._max_exact_blocks = max_exact_blocks
-        self._last_result_exact = True
+        self._solver: Optional[ClosestSolver] = None
 
-    @property
-    def last_update_was_exact(self) -> bool:
-        """Whether the most recent closest-MinLA computation was provably optimal."""
-        return self._last_result_exact
+    def _after_reset(self) -> None:
+        # One solver per run: it carries the unchanged components' internal
+        # orders from each reveal to the next, and nothing to the next run.
+        self._solver = ClosestSolver(self.initial_arrangement)
 
     def _handle_step_fast(
         self, step: RevealStep, arrangement: MutableArrangement
@@ -69,13 +69,15 @@ class DeterministicClosestLearner(OnlineMinLAAlgorithm):
             forest.merge(step.u, step.v)
         else:
             forest.add_edge(step.u, step.v)
+        solver = self._solver
+        assert solver is not None
         result = closest_feasible_arrangement(
             self.initial_arrangement,
-            blocks_from_forest(forest),
+            solver.blocks(forest),
             method=self._method,
             max_exact_blocks=self._max_exact_blocks,
+            solver=solver,
         )
-        self._last_result_exact = result.exact
         # Adopting the solver's arrangement wholesale costs exactly the
         # Kendall-tau distance, computed once by the in-place rewrite.
         cost = arrangement.rewrite_to(result.arrangement)

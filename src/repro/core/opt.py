@@ -37,12 +37,12 @@ from repro.core.permutation import Arrangement
 from repro.errors import SolverError
 from repro.graphs.clique_forest import CliqueForest
 from repro.graphs.line_forest import LineForest
-from repro.graphs.reveal import GraphKind
+from repro.graphs.reveal import GraphKind, RevealSequence
 from repro.minla.closest import (
     DEFAULT_MAX_EXACT_BLOCKS,
     Block,
     BlockKind,
-    blocks_from_forest,
+    ClosestSolver,
     closest_feasible_arrangement,
 )
 from repro.obs.profile import profile_zone
@@ -154,15 +154,23 @@ def offline_optimum_bounds(
         if instance.num_steps == 0:
             return OptBounds(lower=0, upper=0, upper_arrangement=pi0, exact=True)
 
+        # One solver for every solve below: the final, laminar and prefix
+        # graphs share most of their blocks.
+        solver = ClosestSolver(pi0)
+        final_forest = instance.sequence.final_forest()
         if instance.kind is GraphKind.LINES:
-            final_forest = instance.sequence.final_forest()
             result = closest_feasible_arrangement(
-                pi0, blocks_from_forest(final_forest), max_exact_blocks=max_exact_blocks
+                pi0,
+                solver.blocks(final_forest),
+                max_exact_blocks=max_exact_blocks,
+                solver=solver,
             )
             upper = result.distance
             lower = result.distance if result.exact else 0
             if check_prefixes and not result.exact:
-                lower = _prefix_lower_bound(instance, max_exact_blocks, lower)
+                lower = _prefix_lower_bound(
+                    solver, instance.sequence, max_exact_blocks, lower
+                )
             return OptBounds(
                 lower=lower,
                 upper=upper,
@@ -171,11 +179,10 @@ def offline_optimum_bounds(
             )
 
         # Cliques: the single-jump target must respect the merge laminar family.
-        final_forest = instance.sequence.final_forest()
         assert isinstance(final_forest, CliqueForest)
         blocks, internal_cost = laminar_consistent_blocks(final_forest, pi0)
         cross_result = closest_feasible_arrangement(
-            pi0, blocks, max_exact_blocks=max_exact_blocks
+            pi0, blocks, max_exact_blocks=max_exact_blocks, solver=solver
         )
         # ``cross_result.distance`` counts the best-orientation internal cost of the
         # PATH blocks plus the cross cost; the laminar internal cost can only be
@@ -184,17 +191,14 @@ def offline_optimum_bounds(
         upper = pi0.kendall_tau(upper_arrangement)
 
         lower = 0
-        final_free_blocks = [
-            Block(BlockKind.FREE, tuple(sorted(component, key=repr)))
-            for component in final_forest.components()
-        ]
+        final_free_blocks = solver.blocks(final_forest)
         if _exactly_solvable(final_free_blocks, max_exact_blocks):
             final_result = closest_feasible_arrangement(
-                pi0, final_free_blocks, max_exact_blocks=max_exact_blocks
+                pi0, final_free_blocks, max_exact_blocks=max_exact_blocks, solver=solver
             )
             lower = final_result.distance
         if check_prefixes:
-            lower = _prefix_lower_bound(instance, max_exact_blocks, lower)
+            lower = _prefix_lower_bound(solver, instance.sequence, max_exact_blocks, lower)
         exact = lower == upper
         return OptBounds(
             lower=lower, upper=upper, upper_arrangement=upper_arrangement, exact=exact
@@ -209,9 +213,19 @@ def _exactly_solvable(blocks: Sequence[Block], max_exact_blocks: int) -> bool:
 
 
 def _prefix_lower_bound(
-    instance: OnlineMinLAInstance, max_exact_blocks: int, lower: int
+    solver: ClosestSolver,
+    sequence: RevealSequence,
+    max_exact_blocks: int,
+    lower: int,
 ) -> int:
     """``max(lower, max_i min_{π ∈ MinLA(G_i)} d(π_0, π))`` over exactly solvable prefixes.
+
+    The walk runs from the last prefix (fewest components) towards the
+    first and stops at the first prefix that is not exactly solvable.  One
+    forward replay of ``sequence`` collects the block lists of the prefixes
+    it reaches: those after the last prefix that is not exactly solvable.
+    Solvability is read from the component count and a running count of
+    multi-node components, so other prefixes build no blocks.
 
     Pruning: a prefix headed for the subset DP is first ordered greedily.
     The greedy order is a MinLA of ``G_i``, so ``greedy_i ≥ exact_i``, and
@@ -220,22 +234,30 @@ def _prefix_lower_bound(
     solving every prefix exactly.  Prefixes headed for the ``insertion``
     strategy are always solved: it is already linear in the block count.
     """
-    pi0 = instance.initial_arrangement
+    pi0 = solver.pi0
+    walk: List[List[Block]] = []
+    forest = sequence.new_forest()
+    join = forest.merge if isinstance(forest, CliqueForest) else forest.add_edge
+    multi_node = 0
+    for step in sequence.steps:
+        record = join(step.u, step.v)
+        # Two one-node parts make a new multi-node component; two
+        # multi-node parts make one of two.
+        multi_node += (len(record.first) == 1) + (len(record.second) == 1) - 1
+        if forest.num_components <= max_exact_blocks or multi_node <= 1:
+            walk.append(solver.blocks(forest))
+        else:
+            walk.clear()
     best = lower
-    # Walk prefixes from the last (fewest components) towards the first and
-    # stop as soon as a prefix is not exactly solvable — earlier prefixes have
-    # even more components.
-    for step_count in range(instance.num_steps, 0, -1):
-        forest = instance.sequence.forest_after(step_count)
-        blocks = blocks_from_forest(forest)
-        if not _exactly_solvable(blocks, max_exact_blocks):
-            break
+    for blocks in reversed(walk):
         if len(blocks) <= max_exact_blocks:
-            greedy = closest_feasible_arrangement(pi0, blocks, method="greedy")
+            greedy = closest_feasible_arrangement(
+                pi0, blocks, method="greedy", solver=solver
+            )
             if greedy.distance <= best:
                 continue
         result = closest_feasible_arrangement(
-            pi0, blocks, max_exact_blocks=max_exact_blocks
+            pi0, blocks, max_exact_blocks=max_exact_blocks, solver=solver
         )
         best = max(best, result.distance)
     return best

@@ -33,8 +33,10 @@ from repro.graphs.components import DisjointSetForest
 from repro.graphs.line_forest import LineForest
 from repro.graphs.reveal import GraphKind, RevealStep
 from repro.workloads.streaming import (
+    iter_pipeline_requests,
     iter_tenant_requests,
     pair_count_weights,
+    pipeline_edges,
     split_groups,
 )
 
@@ -201,20 +203,17 @@ def requests_from_line_pattern(
 ) -> Tuple[List[Node], List[DynamicRequest]]:
     """Random along-the-path requests for a hidden pipeline pattern.
 
-    Every request picks a hidden path (proportionally to its edge count) and
-    one of its edges; this is the traffic of a pipelined workload where only
-    neighbouring stages communicate.
+    Nodes ``0 … sum(sizes)-1`` are split into paths in order; every request
+    is a uniform draw among all path edges (so a path is picked in
+    proportion to its edge count) — drawn by
+    :func:`repro.workloads.streaming.iter_pipeline_requests`, the one
+    pipeline-draw implementation.  This is the traffic of a pipelined
+    workload where only neighbouring stages communicate.
     """
     if num_requests < 1:
         raise ReproError("num_requests must be positive")
-    if any(size < 2 for size in path_sizes):
-        raise ReproError("every path needs at least two nodes to generate requests")
-    nodes: List[Node] = list(range(sum(path_sizes)))
-    edges: List[Tuple[Node, Node]] = []
-    offset = 0
-    for size in path_sizes:
-        members = nodes[offset : offset + size]
-        offset += size
-        edges.extend(zip(members, members[1:]))
-    requests = [DynamicRequest(*rng.choice(edges)) for _ in range(num_requests)]
-    return nodes, requests
+    edges = pipeline_edges(split_groups(path_sizes))
+    requests = [
+        DynamicRequest(u, v) for u, v in iter_pipeline_requests(edges, num_requests, rng)
+    ]
+    return list(range(sum(path_sizes))), requests

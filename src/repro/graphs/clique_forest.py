@@ -15,7 +15,7 @@ maintains that structure incrementally:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, Iterable, List, TYPE_CHECKING, Tuple
+from typing import FrozenSet, Hashable, Iterable, List, TYPE_CHECKING, Tuple
 
 from repro.errors import RevealError
 from repro.graphs.components import DisjointSetForest
@@ -157,19 +157,3 @@ class CliqueForest:
         clone._history = list(self._history)
         return clone
 
-
-def merge_tree_orders(forest: CliqueForest) -> Dict[FrozenSet[Node], Tuple[Node, ...]]:
-    """For every final clique, one node order keeping all historical sub-cliques contiguous.
-
-    The returned order is obtained by concatenating, for every merge in
-    reveal order, the (already computed) orders of the two merging parts.
-    Laying out each final clique in this order produces a permutation in which
-    every clique of every prefix ``G_i`` occupies contiguous positions, hence
-    a MinLA of every prefix.
-    """
-    orders: Dict[FrozenSet[Node], Tuple[Node, ...]] = {
-        frozenset([node]): (node,) for node in forest.nodes
-    }
-    for record in forest.history:
-        orders[record.merged] = orders[record.first] + orders[record.second]
-    return {component: orders[component] for component in forest.components()}

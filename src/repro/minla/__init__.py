@@ -11,6 +11,7 @@ from repro.minla.closest import (
     Block,
     BlockKind,
     ClosestResult,
+    ClosestSolver,
     best_internal_order,
     blocks_from_forest,
     closest_feasible_arrangement,
@@ -39,6 +40,7 @@ __all__ = [
     "Block",
     "BlockKind",
     "ClosestResult",
+    "ClosestSolver",
     "all_minla_arrangements",
     "best_internal_order",
     "blocks_from_forest",

@@ -38,6 +38,21 @@ module provides three strategies:
 
 ``method="auto"`` picks the best applicable strategy.  All three share the
 cross-cost matrix, built in one ``O(n · m)`` pass over ``π_0``.
+
+*Run-scoped state.*  A reveal merges two components and leaves every other
+one as it was, so consecutive graphs of one run share almost all of their
+blocks.  A :class:`ClosestSolver` is built once from ``π_0`` and solves
+every graph of one run.  For each block of its latest solve it keeps the
+block's internal order, internal cost and ``π_0`` position sum (the greedy
+strategy's mean position), and, for a clique, the :class:`Block` itself,
+keyed by the forest's node set so that the ``repr`` sort runs once.  After
+each solve it drops every entry whose block was not in that solve, so its
+state stays ``O(n)``.  The state only saves work: a solve returns exactly
+what a fresh solver returns.  Its owners are per run: ``Det`` builds one in
+``reset()`` and :func:`repro.core.opt.offline_optimum_bounds` one per call,
+shared by its final, laminar and prefix solves.  No state outlives them, so
+repeating a run repeats all of its work.  :func:`closest_feasible_arrangement`
+solves through the caller's solver, or through a fresh one.
 """
 
 from __future__ import annotations
@@ -46,7 +61,7 @@ import enum
 from dataclasses import dataclass
 from itertools import accumulate, combinations
 from operator import add, sub
-from typing import Dict, Hashable, List, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.permutation import Arrangement
 from repro.obs.profile import count_work as _count_work, profile_zone
@@ -95,13 +110,15 @@ class ClosestResult:
     method: str
 
 
+def _clique_block(component: FrozenSet[Node]) -> Block:
+    """A clique's block, its nodes sorted by ``repr`` (a deterministic order)."""
+    return Block(BlockKind.FREE, tuple(sorted(component, key=repr)))
+
+
 def blocks_from_forest(forest: Union[CliqueForest, LineForest]) -> List[Block]:
     """Convert a clique or line forest into the solver's block representation."""
     if isinstance(forest, CliqueForest):
-        return [
-            Block(BlockKind.FREE, tuple(sorted(component, key=repr)))
-            for component in forest.components()
-        ]
+        return [_clique_block(component) for component in forest.components()]
     return [Block(BlockKind.PATH, path) for path in forest.paths()]
 
 
@@ -311,12 +328,13 @@ def _exact_order_dp(
     return order_reversed, cost
 
 
-def _mean_position_order(pi0: Arrangement, blocks: Sequence[Block]) -> List[int]:
-    """Blocks sorted by their mean ``π_0`` position (greedy starting point)."""
-    means = [
-        sum(pi0.position(node) for node in block.nodes) / block.size for block in blocks
-    ]
-    return sorted(range(len(blocks)), key=lambda index: means[index])
+def _mean_position_order(blocks: Sequence[Block], position_sums: Sequence[int]) -> List[int]:
+    """Blocks sorted by their mean ``π_0`` position (greedy starting point).
+
+    ``position_sums[i]`` is the sum of the ``π_0`` positions of block ``i``'s nodes.
+    """
+    means = [total / len(block.nodes) for block, total in zip(blocks, position_sums)]
+    return sorted(range(len(blocks)), key=means.__getitem__)
 
 
 def _local_search(order: List[int], inv: Sequence[Sequence[int]], max_passes: int = 50) -> List[int]:
@@ -371,13 +389,124 @@ def _insertion_order(
 
 
 # ----------------------------------------------------------------------
-# Public entry point
+# Public entry points
 # ----------------------------------------------------------------------
+class ClosestSolver:
+    """Closest feasible arrangements to one ``π_0``, for all graphs of one run.
+
+    Keeps, for every block of its latest solve, the block's internal order,
+    internal cost and ``π_0`` position sum, and for a clique its
+    :class:`Block`, keyed by the forest's node set; see the module
+    docstring.  Entries are keyed by the block's node tuple and kind, so a
+    block is recognised by value: the caller may pass new ``Block`` objects
+    for unchanged components.  Each solve returns exactly what a fresh
+    solver returns.
+    """
+
+    def __init__(self, pi0: Arrangement) -> None:
+        self.pi0 = pi0
+        self._nodes = pi0.nodes
+        self._cliques: Dict[FrozenSet[Node], Block] = {}
+        # block.nodes -> (kind, internal order, internal cost, position sum)
+        self._known: Dict[Tuple[Node, ...], Tuple[BlockKind, Tuple[Node, ...], int, int]] = {}
+
+    def blocks(self, forest: Union[CliqueForest, LineForest]) -> List[Block]:
+        """:func:`blocks_from_forest`, reusing the ``Block`` of every clique seen before."""
+        if not isinstance(forest, CliqueForest):
+            return blocks_from_forest(forest)
+        cliques = self._cliques
+        blocks = []
+        for component in forest.components():
+            block = cliques.get(component)
+            if block is None:
+                block = cliques[component] = _clique_block(component)
+            blocks.append(block)
+        return blocks
+
+    def solve(
+        self,
+        blocks: Sequence[Block],
+        method: str = "auto",
+        max_exact_blocks: int = DEFAULT_MAX_EXACT_BLOCKS,
+    ) -> ClosestResult:
+        """The feasible arrangement closest to ``π_0``; see :func:`closest_feasible_arrangement`."""
+        with profile_zone("closest.solve"):
+            pi0 = self.pi0
+            all_nodes = [node for block in blocks for node in block.nodes]
+            node_set = set(all_nodes)
+            if len(node_set) != len(all_nodes):
+                raise SolverError("blocks overlap: a node appears in two blocks")
+            if node_set != self._nodes:
+                raise SolverError(
+                    "blocks must partition the node set of the reference permutation"
+                )
+
+            known = self._known
+            entries = []
+            for block in blocks:
+                entry = known.get(block.nodes)
+                if entry is None or entry[0] is not block.kind:
+                    order, cost = best_internal_order(pi0, block)
+                    entry = (block.kind, order, cost, sum(pi0.positions_of(block.nodes)))
+                entries.append(entry)
+            # Keep only this solve's blocks: the next graph of the run shares
+            # all but the merged one.
+            self._known = known = {block.nodes: entry for block, entry in zip(blocks, entries)}
+            self._cliques = {
+                component: block
+                # repro: allow[det003] — a lookup table: its order is never read
+                for component, block in self._cliques.items()
+                if block.nodes in known
+            }
+
+            internal_cost = sum(entry[2] for entry in entries)
+            inv = _pairwise_inversions(pi0, blocks)
+
+            num_nontrivial = sum(1 for block in blocks if len(block.nodes) > 1)
+            if method == "auto":
+                if len(blocks) <= max_exact_blocks:
+                    method = "exact"
+                elif num_nontrivial <= 1:
+                    method = "insertion"
+                else:
+                    method = "greedy"
+
+            if method == "exact":
+                if len(blocks) > max_exact_blocks:
+                    raise SolverError(
+                        f"exact ordering limited to {max_exact_blocks} blocks; got {len(blocks)}"
+                    )
+                order, cross_cost = _exact_order_dp(inv, _singletons_in_pi0_order(pi0, blocks))
+                exact = True
+            elif method == "insertion":
+                order, cross_cost = _insertion_order(pi0, blocks, inv)
+                exact = True
+            elif method == "greedy":
+                position_sums = [entry[3] for entry in entries]
+                order = _local_search(_mean_position_order(blocks, position_sums), inv)
+                cross_cost = _order_cost(order, inv)
+                exact = False  # greedy never claims optimality
+            else:
+                raise SolverError(f"unknown closest-arrangement method {method!r}")
+
+            layout: List[Node] = []
+            for index in order:
+                layout.extend(entries[index][1])
+            return ClosestResult(
+                arrangement=Arrangement(layout),
+                distance=cross_cost + internal_cost,
+                exact=exact,
+                method=method,
+            )
+
+
 def closest_feasible_arrangement(
     pi0: Arrangement,
     blocks: Sequence[Block],
     method: str = "auto",
     max_exact_blocks: int = DEFAULT_MAX_EXACT_BLOCKS,
+    *,
+    solver: Optional[ClosestSolver] = None,
 ) -> ClosestResult:
     """The feasible arrangement (blocks contiguous, paths ordered) closest to ``π_0``.
 
@@ -393,6 +522,10 @@ def closest_feasible_arrangement(
     max_exact_blocks:
         Upper limit on the number of blocks for the subset DP used by
         ``"auto"``/``"exact"``.
+    solver:
+        The run's :class:`ClosestSolver` for ``pi0``, which reuses what its
+        earlier solves computed for unchanged blocks; a fresh one if omitted.
+        Either way the result is the same.
 
     Returns
     -------
@@ -400,55 +533,11 @@ def closest_feasible_arrangement(
         The arrangement, its Kendall-tau distance to ``π_0``, whether the
         result is provably optimal, and which strategy produced it.
     """
-    with profile_zone("closest.solve"):
-        all_nodes = [node for block in blocks for node in block.nodes]
-        if len(set(all_nodes)) != len(all_nodes):
-            raise SolverError("blocks overlap: a node appears in two blocks")
-        if set(all_nodes) != set(pi0.nodes):
-            raise SolverError(
-                "blocks must partition the node set of the reference permutation"
-            )
-
-        internal: List[Tuple[Tuple[Node, ...], int]] = [
-            best_internal_order(pi0, block) for block in blocks
-        ]
-        internal_cost = sum(cost for _, cost in internal)
-        inv = _pairwise_inversions(pi0, blocks)
-
-        num_nontrivial = sum(1 for block in blocks if block.size > 1)
-        if method == "auto":
-            if len(blocks) <= max_exact_blocks:
-                method = "exact"
-            elif num_nontrivial <= 1:
-                method = "insertion"
-            else:
-                method = "greedy"
-
-        if method == "exact":
-            if len(blocks) > max_exact_blocks:
-                raise SolverError(
-                    f"exact ordering limited to {max_exact_blocks} blocks; got {len(blocks)}"
-                )
-            order, cross_cost = _exact_order_dp(inv, _singletons_in_pi0_order(pi0, blocks))
-            exact = True
-        elif method == "insertion":
-            order, cross_cost = _insertion_order(pi0, blocks, inv)
-            exact = True
-        elif method == "greedy":
-            order = _local_search(_mean_position_order(pi0, blocks), inv)
-            cross_cost = _order_cost(order, inv)
-            exact = False  # greedy never claims optimality
-        else:
-            raise SolverError(f"unknown closest-arrangement method {method!r}")
-
-        layout: List[Node] = []
-        for index in order:
-            layout.extend(internal[index][0])
-        arrangement = Arrangement(layout)
-        distance = cross_cost + internal_cost
-        return ClosestResult(
-            arrangement=arrangement, distance=distance, exact=exact, method=method
-        )
+    if solver is None:
+        solver = ClosestSolver(pi0)
+    elif solver.pi0 != pi0:
+        raise SolverError("the solver was built for another reference permutation")
+    return solver.solve(blocks, method, max_exact_blocks)
 
 
 def closest_minla_distance(

@@ -4,7 +4,20 @@ import networkx as nx
 import pytest
 
 from repro.errors import RevealError
-from repro.graphs.clique_forest import CliqueForest, merge_tree_orders
+from repro.graphs.clique_forest import CliqueForest
+
+
+def merge_tree_orders(forest):
+    """For every final clique, one node order keeping all historical sub-cliques contiguous.
+
+    Concatenates, for every merge in reveal order, the orders already built
+    for its two parts; laying out each final clique this way makes every
+    clique of every prefix contiguous.  The oracle for the merge history.
+    """
+    orders = {frozenset([node]): (node,) for node in forest.nodes}
+    for record in forest.history:
+        orders[record.merged] = orders[record.first] + orders[record.second]
+    return {component: orders[component] for component in forest.components()}
 
 
 class TestCliqueForest:

@@ -16,6 +16,7 @@ from repro.graphs.generators import (
     random_line_sequence,
 )
 from repro.graphs.reveal import CliqueRevealSequence, LineRevealSequence
+from repro.minla.closest import closest_minla_distance
 
 
 class TestDetBehaviour:
@@ -77,11 +78,16 @@ class TestDetBehaviour:
         assert result.final_arrangement.is_contiguous({"a", "b"})
 
     def test_exactness_flag(self):
+        # Det's move is the solver's exact result on the revealed graph.
         sequence = CliqueRevealSequence.from_pairs(range(4), [(0, 1)])
         instance = OnlineMinLAInstance.with_identity_start(sequence)
-        algorithm = DeterministicClosestLearner()
-        run_online(algorithm, instance)
-        assert algorithm.last_update_was_exact
+        result = run_online(DeterministicClosestLearner(), instance)
+        closest = closest_minla_distance(
+            instance.initial_arrangement, sequence.final_forest()
+        )
+        assert closest.exact
+        assert result.final_arrangement == closest.arrangement
+        assert result.total_cost == closest.distance
 
     def test_line_reveal_keeps_path_order(self):
         sequence = LineRevealSequence.from_pairs(range(4), [(0, 1), (1, 2), (2, 3)])

@@ -14,7 +14,12 @@ hold the one-pass cross matrix of
 :func:`repro.minla.closest._pairwise_inversions` to pairwise
 :func:`repro.telemetry.backends.count_cross_inversions` counts.  The OPT
 prefix walk, which skips exact solves its greedy distance shows cannot
-raise the bound, is held to solving every prefix exactly.
+raise the bound and takes its prefixes from one forward replay, is held to
+solving every prefix exactly, each from a fresh forest.  The run-scoped
+:class:`repro.minla.closest.ClosestSolver`, which carries per-block state
+from one solve to the next, is held at every step of random runs to a
+fresh solve, for every strategy, and ``Det`` to a fresh learner after a
+``reset()`` onto another ``π_0``.
 """
 
 import itertools
@@ -22,14 +27,24 @@ import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import pytest
 
+from repro.core.det import DeterministicClosestLearner
 from repro.core.instance import OnlineMinLAInstance
-from repro.core.opt import _exactly_solvable, _prefix_lower_bound, offline_optimum_bounds
+from repro.core.opt import (
+    _exactly_solvable,
+    _prefix_lower_bound,
+    laminar_consistent_blocks,
+    offline_optimum_bounds,
+)
 from repro.core.permutation import Arrangement
-from repro.graphs.reveal import LineRevealSequence
+from repro.core.simulator import run_online
+from repro.errors import SolverError
+from repro.graphs.reveal import CliqueRevealSequence, GraphKind, LineRevealSequence
 from repro.minla.closest import (
     Block,
     BlockKind,
+    ClosestSolver,
     _exact_order_dp,
     _order_cost,
     _pairwise_inversions,
@@ -251,9 +266,37 @@ class TestPrunedPrefixWalk:
         self, kind, n, final_components, seed, max_exact_blocks, lower
     ):
         instance = _instance(kind, n, min(final_components, n), seed)
-        assert _prefix_lower_bound(
-            instance, max_exact_blocks, lower
-        ) == _unpruned_prefix_lower_bound(instance, max_exact_blocks, lower)
+        pi0 = instance.initial_arrangement
+        expected = _unpruned_prefix_lower_bound(instance, max_exact_blocks, lower)
+        fresh = ClosestSolver(pi0)
+        assert (
+            _prefix_lower_bound(fresh, instance.sequence, max_exact_blocks, lower)
+            == expected
+        )
+        # A solver that already holds the final graph's blocks, as in
+        # offline_optimum_bounds, and then walks a second time.
+        used = ClosestSolver(pi0)
+        final_forest = instance.sequence.final_forest()
+        used.solve(used.blocks(final_forest), method="greedy")
+        for _ in range(2):
+            assert (
+                _prefix_lower_bound(used, instance.sequence, max_exact_blocks, lower)
+                == expected
+            )
+
+    def test_walk_stops_at_the_last_unsolvable_prefix(self):
+        # Prefix 1 ({0, 1}; one multi-node block) is solvable, prefix 2
+        # ({0, 1}, {2, 3}; six blocks, two multi-node) is not, prefix 3
+        # ({0, 1, 2, 3}; five blocks) is.  The walk from the end stops at
+        # prefix 2, so prefix 1's distance (1: π_0 splits 0 and 1) must not
+        # count, while prefix 3 costs 0.
+        sequence = CliqueRevealSequence.from_pairs(range(8), [(0, 1), (2, 3), (0, 2)])
+        instance = OnlineMinLAInstance(sequence, Arrangement([0, 2, 1, 3, 4, 5, 6, 7]))
+        solver = ClosestSolver(instance.initial_arrangement)
+        assert _prefix_lower_bound(solver, sequence, 5, 0) == 0
+        assert _unpruned_prefix_lower_bound(instance, 5, 0) == 0
+        assert _unpruned_prefix_lower_bound(instance, 7, 0) == 1
+        assert _prefix_lower_bound(solver, sequence, 7, 0) == 1
 
     @given(
         st.integers(min_value=10, max_value=16),
@@ -278,3 +321,94 @@ class TestPrunedPrefixWalk:
         assert bounds.lower == _unpruned_prefix_lower_bound(
             instance, max_exact_blocks, 0
         )
+
+
+METHODS = ("auto", "exact", "insertion", "greedy")
+
+
+def _outcome(pi0, blocks, method, max_exact_blocks, solver=None):
+    """A solve's ``(arrangement, distance, exact, method)``, or its error message."""
+    try:
+        result = closest_feasible_arrangement(
+            pi0, blocks, method, max_exact_blocks, solver=solver
+        )
+    except SolverError as error:
+        return "error", str(error)
+    return result.arrangement, result.distance, result.exact, result.method
+
+
+class TestRunScopedSolver:
+    @given(
+        st.sampled_from(["cliques", "lines"]),
+        st.integers(min_value=1, max_value=24),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=1, max_value=13),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_step_matches_a_fresh_solve(
+        self, kind, n, final_components, seed, max_exact_blocks
+    ):
+        instance = _instance(kind, n, min(final_components, n), seed)
+        pi0 = instance.initial_arrangement
+        solver = ClosestSolver(pi0)
+        for _, forest in instance.sequence.replay():
+            fresh_blocks = blocks_from_forest(forest)
+            cases = [(solver.blocks(forest), fresh_blocks)]
+            if instance.kind is GraphKind.CLIQUES:
+                # The laminar PATH blocks of OPT's upper bound share node
+                # tuples with the FREE blocks above but not their orders.
+                laminar, _ = laminar_consistent_blocks(forest, pi0)
+                cases.append((laminar, laminar))
+            for blocks, reference in cases:
+                assert blocks == reference
+                for method in METHODS:
+                    shared = _outcome(pi0, blocks, method, max_exact_blocks, solver)
+                    assert shared == _outcome(pi0, reference, method, max_exact_blocks)
+                    if shared[0] != "error":
+                        # State is kept for the latest solve's blocks only.
+                        assert set(solver._known) == {block.nodes for block in blocks}
+
+    def test_a_block_of_the_other_kind_is_not_reused(self):
+        # PATH (0, 1, 2) must keep its path order or its reverse; FREE
+        # (0, 1, 2) takes π_0's order.  Same nodes tuple, different answers.
+        pi0 = Arrangement([2, 0, 1, 3])
+        path = [Block(BlockKind.PATH, (0, 1, 2)), Block(BlockKind.FREE, (3,))]
+        free = [Block(BlockKind.FREE, (0, 1, 2)), Block(BlockKind.FREE, (3,))]
+        solver = ClosestSolver(pi0)
+        for blocks in (path, free, path):
+            assert _outcome(pi0, blocks, "auto", 13, solver) == _outcome(
+                pi0, blocks, "auto", 13
+            )
+        assert solver.solve(free).distance == 0
+        assert solver.solve(path).distance == 1
+
+    def test_a_solver_is_bound_to_its_reference_permutation(self):
+        solver = ClosestSolver(Arrangement([0, 1]))
+        blocks = [Block(BlockKind.FREE, (0, 1))]
+        with pytest.raises(SolverError, match="another reference permutation"):
+            closest_feasible_arrangement(Arrangement([1, 0]), blocks, solver=solver)
+        assert closest_feasible_arrangement(
+            Arrangement([0, 1]), blocks, solver=solver
+        ).distance == 0
+
+    @given(
+        st.sampled_from(["cliques", "lines"]),
+        st.integers(min_value=2, max_value=24),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_a_reset_learner_reuses_no_state(self, kind, n, final_components, seed):
+        first = _instance(kind, n, min(final_components, n), seed)
+        rng = random.Random(seed + 1)
+        second = OnlineMinLAInstance.with_random_start(first.sequence, rng)
+        learner = DeterministicClosestLearner()
+        run_online(learner, first)
+        first_solver = learner._solver
+        reused = run_online(learner, second, record_trajectory=True)
+        fresh = run_online(DeterministicClosestLearner(), second, record_trajectory=True)
+        assert learner._solver is not first_solver
+        assert learner._solver.pi0 == second.initial_arrangement
+        assert reused.arrangements == fresh.arrangements
+        assert reused.total_cost == fresh.total_cost

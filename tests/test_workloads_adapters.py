@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from repro.dynamic_minla import requests_from_line_pattern
 from repro.graphs.generators import (
     balanced_clique_merge_sequence,
     growing_clique_sequence,
@@ -116,6 +117,17 @@ STREAM_GOLDEN = {
     ("datacenter-tenants", 1_000, 10_000, 0): "5bd240fc6d7f7e52",
 }
 
+#: E9's pipeline requests (``dynamic_minla.requests_from_line_pattern``),
+#: fingerprinted with the generator's next 64 random bits while it still
+#: drew from its own edge list instead of through
+#: ``workloads.streaming.iter_pipeline_requests``.
+LINE_PATTERN_GOLDEN = {
+    ((4, 4, 4), 120, 0): "29768002df9a7662",
+    ((2, 5, 9, 3), 1_000, 1): "ad029b1dcfcdee46",
+    ((6,) * 8, 5_000, 42): "1ade7550b37b2088",
+    ((64,), 2_000, 7): "451cecec2be99024",
+}
+
 TRAFFIC_BUILDERS = {
     "tenant_traffic": lambda rng: tenant_traffic([4, 4, 4], 120, rng),
     "pipeline_traffic": lambda rng: pipeline_traffic([4, 4, 4], 120, rng),
@@ -176,3 +188,18 @@ class TestTrafficAdapters:
             )
         )
         assert list(trace.requests) == replay
+
+    @pytest.mark.parametrize("case", sorted(LINE_PATTERN_GOLDEN))
+    def test_line_pattern_requests_bit_identical(self, case):
+        sizes, num_requests, seed = case
+        rng = random.Random(seed)
+        nodes, requests = requests_from_line_pattern(list(sizes), num_requests, rng)
+        payload = repr(
+            (
+                tuple(nodes),
+                tuple((request.u, request.v) for request in requests),
+                rng.getrandbits(64),
+            )
+        )
+        fingerprint = hashlib.sha256(payload.encode()).hexdigest()[:16]
+        assert fingerprint == LINE_PATTERN_GOLDEN[case]
