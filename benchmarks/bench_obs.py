@@ -7,20 +7,35 @@ same deployment twice — once with only the always-on histogram aggregation
 in (span tracing at 5%, a live stats reporter) — and asserts the fully
 instrumented run keeps at least 95% of the baseline throughput.
 
-The two sides run as interleaved best-of-four pairs — alternating keeps a
-scheduler hiccup or frequency shift from landing on only one side — and
-each run is long enough (20k requests) that worker startup does not color
-the wall-clock ratio.  The spread across repeats is printed alongside the
-verdict.
+The two sides run as interleaved pairs, and the gate is the median of the
+per-pair throughput ratios.  A pair's two runs sit next to each other in
+time, so a host speed shift moves both; which side runs first alternates
+from pair to pair, so neither side always gets the warmer or the colder
+slot; and the median over the pairs ignores the few pairs a scheduler
+hiccup lands inside.  Where the OS allows it, every thread of both sides
+runs on one CPU: the threads share one interpreter lock, so a second CPU
+adds no parallelism, only lock hand-offs whose timing follows the
+scheduler (on a 2-vCPU VM, pair ratios spread 0.5-1.8 across two CPUs and
+0.8-1.1 on one).  Each run is long enough (20k requests) that worker
+startup does not color the ratio.  Every pair's ratio is printed alongside
+the verdict.
 """
+
+import os
+import statistics
 
 from repro.service.loadgen import run_scenario_loadgen
 from repro.workloads.registry import get_scenario
 
-#: The ISSUE's acceptance bound: instrumentation may cost at most 5%.
+#: The acceptance bound: instrumentation may cost at most 5%.
 MIN_THROUGHPUT_RATIO = 0.95
 
-REPEATS = 4
+#: Interleaved (baseline, instrumented) pairs; odd, so the median is one pair.
+PAIRS = 21
+
+#: Run every thread of both sides on one CPU (where the OS allows it).
+PIN_ONE_CPU = hasattr(os, "sched_setaffinity")
+
 NUM_NODES = 48
 NUM_REQUESTS = 20_000
 
@@ -44,31 +59,49 @@ def one_throughput(**overrides):
 
 def test_instrumented_loadgen_within_five_percent_of_baseline():
     emitted = []
-    baseline_runs, instrumented_runs = [], []
-    for repeat in range(REPEATS):
-        baseline_runs.append(one_throughput())
-        instrumented_runs.append(
-            one_throughput(
-                span_rate=0.05,
-                stats_interval=0.5,
-                stats_emit=emitted.append,
-            )
+
+    def instrumented_throughput():
+        return one_throughput(
+            span_rate=0.05, stats_interval=0.5, stats_emit=emitted.append
         )
-    baseline = max(baseline_runs)
-    instrumented = max(instrumented_runs)
-    ratio = instrumented / baseline
+
+    pairs = []
+    cpus = sorted(os.sched_getaffinity(0)) if PIN_ONE_CPU else []
+    if cpus:
+        # Threads inherit the affinity of the thread that starts them.
+        os.sched_setaffinity(0, cpus[:1])
+    try:
+        for pair in range(PAIRS):
+            if pair % 2 == 0:
+                baseline = one_throughput()
+                instrumented = instrumented_throughput()
+            else:
+                instrumented = instrumented_throughput()
+                baseline = one_throughput()
+            pairs.append((baseline, instrumented))
+    finally:
+        if cpus:
+            os.sched_setaffinity(0, cpus)
+    ratios = [instrumented / baseline for baseline, instrumented in pairs]
+    ratio = statistics.median(ratios)
     print(
-        f"\nbaseline     : {baseline:,.0f} req/s (runs: "
-        + ", ".join(f"{t:,.0f}" for t in baseline_runs)
-        + ")"
+        "\nbaseline     : "
+        + ", ".join(f"{baseline:,.0f}" for baseline, _ in pairs)
+        + " req/s"
     )
     print(
-        f"instrumented : {instrumented:,.0f} req/s (runs: "
-        + ", ".join(f"{t:,.0f}" for t in instrumented_runs)
-        + f"), ratio x{ratio:.3f}"
+        "instrumented : "
+        + ", ".join(f"{instrumented:,.0f}" for _, instrumented in pairs)
+        + " req/s"
+    )
+    print(
+        "pair ratios  : "
+        + ", ".join(f"x{value:.3f}" for value in ratios)
+        + f"; median x{ratio:.3f}"
     )
     assert emitted, "the stats reporter never emitted a line"
     assert ratio >= MIN_THROUGHPUT_RATIO, (
         f"observability overhead exceeded the {1 - MIN_THROUGHPUT_RATIO:.0%} "
-        f"budget: {baseline:,.0f} -> {instrumented:,.0f} req/s (x{ratio:.3f})"
+        f"budget: median per-pair throughput ratio x{ratio:.3f} "
+        f"(pairs: {', '.join(f'x{value:.3f}' for value in ratios)})"
     )

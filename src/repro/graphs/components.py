@@ -86,6 +86,15 @@ class DisjointSetForest:
 
     def connected(self, first: Node, second: Node) -> bool:
         """``True`` iff the two nodes are in the same component."""
+        # Fast path: nodes with one parent share its component.  Once path
+        # compression has flattened a component, every member hangs off
+        # its root, so repeated queries never walk the tree.
+        parent = self._parent
+        try:
+            if parent[first] == parent[second]:
+                return True
+        except KeyError:
+            pass  # find() raises the forest's own error
         return self.find(first) == self.find(second)
 
     def component_size(self, node: Node) -> int:

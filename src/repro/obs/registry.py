@@ -241,9 +241,12 @@ class FixedBucketHistogram:
 
     Single-writer by design: each shard worker owns one and records into it
     without locks; readers take :meth:`snapshot` copies.  ``record`` is a
-    bisect plus three scalar updates — cheap enough for the hot serving
-    path (the bench gate in ``benchmarks/bench_obs.py`` holds it to <5%
-    of loadgen throughput).
+    bisect plus three scalar updates.  The serving hot path records one
+    served batch at a time with :meth:`record_many`, which validates the
+    batch once and updates ``min``/``max`` once, leaving the state ``record``
+    would leave value by value (the bench gate in
+    ``benchmarks/bench_obs.py`` holds the instrumentation to <5% of loadgen
+    throughput).
     """
 
     __slots__ = ("edges", "_counts", "_sum", "_min", "_max")
@@ -274,6 +277,43 @@ class FixedBucketHistogram:
             self._min = observed
         if self._max is None or observed > self._max:
             self._max = observed
+
+    def record_many(self, values: Sequence[float]) -> None:
+        """Absorb ``values`` in order: the state of ``record`` on each one.
+
+        The batch is checked once — every value converts to ``float``, the
+        running sum stays finite and the minimum is non-negative.  When that
+        check fails (a bad value, or a sum that overflows) it falls back to
+        ``record`` per value, which raises the same error after the same
+        prefix.  The sum is accumulated in the same order as ``record``
+        would, so ``sum`` is bit-identical too.
+        """
+        try:
+            observed = list(map(float, values))
+        except (TypeError, ValueError):
+            observed = None
+        if not observed:  # empty, or a value float() refuses: record raises
+            for value in values:
+                self.record(value)
+            return
+        total = self._sum
+        for value in observed:
+            total += value
+        low = min(observed)
+        if not (math.isfinite(total) and low >= 0.0):
+            for value in values:
+                self.record(value)
+            return
+        counts = self._counts
+        edges = self.edges
+        for value in observed:
+            counts[bisect_left(edges, value)] += 1
+        self._sum = total
+        high = max(observed)
+        if self._min is None or low < self._min:
+            self._min = low
+        if self._max is None or high > self._max:
+            self._max = high
 
     def update(self, other: Union["FixedBucketHistogram", HistogramSnapshot]) -> None:
         """Fold another histogram's counts into this one (same edges)."""
@@ -323,12 +363,6 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = float(value)
-
-    def track_max(self, value: float) -> None:
-        """Keep the high-water mark of everything seen."""
-        observed = float(value)
-        if observed > self.value:
-            self.value = observed
 
 
 #: What a registry snapshot maps names to: counter value, gauge value, or a

@@ -48,11 +48,20 @@ batch; :func:`expand_batch`, on the side that reads them, builds the
 :class:`ServeResult` tuples — only when results are retained or an
 ``on_result`` hook wants them.
 
-Timing: every request records queue time (enqueue to batch start), service
-time (its batch's rearrangement pass) and total latency; every worker
-records its queue-depth high-water mark (in requests) and busy fraction in its
-:class:`~repro.service.observation.ShardMetrics`.  Costs never depend on
-these measurements — they are observability, not semantics.
+**Submission** routes, numbers and timestamps a request in one frame: a
+hit is two reads of the partition's ``node_to_shard`` table and one
+``_running`` flag (set by ``start()``, cleared by ``drain()`` and
+``close()``); only a miss goes through the routing checks that raise.
+
+Timing: every request is stamped once at submission, with the clock
+:meth:`ArrangementService.start` bound from the :mod:`repro.obs.clock` seam
+(a :class:`~repro.obs.clock.ManualClock` must be installed before
+``start()``), and records queue time (enqueue to batch start), service time
+(its batch's rearrangement pass) and total latency; every worker records
+its queue-depth high-water mark (in requests) and busy fraction in its
+:class:`~repro.service.observation.ShardMetrics`, one ``record_many`` per
+histogram per batch.  Costs never depend on these measurements — they are
+observability, not semantics.
 """
 
 from __future__ import annotations
@@ -63,6 +72,7 @@ from typing import Callable, Hashable, List, NamedTuple, Optional, Sequence, Tup
 
 from repro.core.permutation import Arrangement
 from repro.errors import ServiceError
+from repro.obs.clock import get_clock
 from repro.obs.clock import now as monotonic_now
 from repro.obs.spans import SpanCollector, SpanSampler, SpanTrace
 from repro.service.engine import ShardEngine, ShardReport
@@ -571,6 +581,9 @@ class ArrangementService:
                 span_max=span_max,
                 metrics_interval=metrics_interval,
             )
+        self._node_to_shard = partition.node_to_shard
+        # The submission clock; start() binds the installed clock's reader.
+        self._now: Callable[[], float] = monotonic_now
         # Re-entrant: try_submit holds it across _accept and the put.
         self._submit_lock = threading.RLock()
         self._next_index = 0
@@ -582,6 +595,8 @@ class ArrangementService:
         self._started = False
         self._drained = False
         self._closed = False
+        # Started, not drained, not closed: the one check a routed hit makes.
+        self._running = False
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -602,6 +617,8 @@ class ArrangementService:
             raise ServiceError("the service is closed")
         if not self._started:
             self._started = True
+            self._running = True
+            self._now = get_clock().now
             self._fleet.start()
         return self
 
@@ -626,33 +643,41 @@ class ArrangementService:
         """
         if not self._closed:
             self._closed = True
+            self._running = False
             self._fleet.close()
 
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
     def _route(self, pair: Request) -> int:
+        """The routing checks that raise: the lifecycle, then the pair."""
         if not self._started or self._drained or self._closed:
             raise ServiceError(
                 "the service is not running (start() it, and submit before drain())"
             )
         return self._partition.shard_of_pair(*pair)
 
-    def _accept(self, shard: int, pair: Request) -> "Tuple[int, Optional[Entries]]":
-        """Number ``pair`` and buffer it: ``(index, the item to ship now or None)``."""
+    def _accept(self, pair: Request) -> "Tuple[int, int, Optional[Entries]]":
+        """Route, number and buffer ``pair``: ``(shard, index, item to ship or None)``."""
+        u, v = pair
+        shard = self._node_to_shard.get(u)
+        if not self._running or shard is None or shard != self._node_to_shard.get(v):
+            shard = self._route(pair)
         with self._submit_lock:
             index = self._next_index
             self._next_index = index + 1
-            entry = (index, pair, monotonic_now())
-            if self._pending is None:
-                return index, [entry]
-            buffered = self._pending[shard]
+            entry = (index, pair, self._now())
+            pending = self._pending
+            if pending is None:
+                return shard, index, [entry]
+            buffered = pending[shard]
             buffered.append(entry)
-            if len(buffered) < self.batch_size:
-                return index, None
-            self._pending[shard] = buffered[self.batch_size :]
-            del buffered[self.batch_size :]
-            return index, buffered
+            batch_size = self.batch_size
+            if len(buffered) < batch_size:
+                return shard, index, None
+            pending[shard] = buffered[batch_size:]
+            del buffered[batch_size:]
+            return shard, index, buffered
 
     def _unship(self, shard: int, item: Entries) -> None:
         """Re-buffer an item that did not ship, minus its refused last entry."""
@@ -672,8 +697,7 @@ class ArrangementService:
         its shard's batch; a refused request leaves the earlier ones
         buffered.
         """
-        shard = self._route(pair)
-        index, item = self._accept(shard, pair)
+        shard, index, item = self._accept(pair)
         if item is not None:
             try:
                 self._fleet.submit(shard, item, timeout)
@@ -684,11 +708,10 @@ class ArrangementService:
 
     def try_submit(self, pair: Request) -> Optional[int]:
         """Enqueue one request or return ``None`` when the shard queue is full."""
-        shard = self._route(pair)
         # Held across the non-blocking put: a refused item is re-buffered
         # before any other submitter can touch the buffer.
         with self._submit_lock:
-            index, item = self._accept(shard, pair)
+            shard, index, item = self._accept(pair)
             if item is None:
                 return index
             shipped = False
@@ -719,6 +742,7 @@ class ArrangementService:
         flush: List[List[Entries]] = [[] for _ in self._engines]
         with self._submit_lock:
             self._drained = True
+            self._running = False
             if self._pending is not None:
                 for shard, entries in enumerate(self._pending):
                     flush[shard] = [

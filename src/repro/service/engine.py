@@ -193,7 +193,7 @@ class ShardEngine:
         cache = self._cache
         if cache is None:
             return self._serve_reveal_batch(pairs)
-        communication = [cache.cost(u, v) for u, v in pairs]
+        communication = cache.costs(pairs)
         # Accumulate through a per-batch subtotal, matching the controller's
         # per-batch summation order bit for bit.
         batch_cost = 0.0

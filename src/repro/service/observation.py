@@ -121,10 +121,8 @@ class ShardMetrics:
         service_seconds: float = 0.0,
     ) -> None:
         """Absorb one served micro-batch (one entry per request)."""
-        for value in queue_seconds:
-            self.queue_wait.record(value)
-        for value in latency_seconds:
-            self.latency.record(value)
+        self.queue_wait.record_many(queue_seconds)
+        self.latency.record_many(latency_seconds)
         self.num_requests += len(latency_seconds)
         self.num_reveals += num_reveals
         self.num_batches += 1

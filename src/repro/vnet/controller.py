@@ -170,8 +170,8 @@ class StaticController:
         num_requests = 0
         num_batches = 0
         for batch in stream.batches(batch_size):
-            for u, v in batch:
-                communication += cache.cost(u, v)
+            for cost in cache.costs(batch):
+                communication += cost
             num_requests += len(batch)
             num_batches += 1
         return ControllerReport(
@@ -324,8 +324,8 @@ class DemandAwareController:
             # ``embedding.communication_cost(batch)`` loop: a per-batch
             # subtotal built left to right, added once per batch.
             batch_cost = 0.0
-            for u, v in batch:
-                batch_cost += cache.cost(u, v)
+            for cost in cache.costs(batch):
+                batch_cost += cost
             communication += batch_cost
             num_requests += len(batch)
             num_batches += 1

@@ -25,7 +25,7 @@ bit-identical to the uncached loop (asserted in ``tests/test_vnet.py``).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Set, Tuple
 
 from repro.obs.profile import count_work as _count_work
 from repro.vnet.embedding import Embedding
@@ -77,6 +77,29 @@ class SlotDistanceCache:
         self._slot_of_node[u] = slot_u
         self._slot_of_node[v] = slot_v
         return cost
+
+    def costs(self, pairs: Iterable[Pair]) -> List[float]:
+        """:meth:`cost` of every ``(u, v)`` in ``pairs``, in order.
+
+        Hits read the cache directly and are counted once per call; a miss
+        goes through :meth:`cost`, so a pair repeated later in ``pairs``
+        hits.  Values, cache contents and work counters end up as a
+        :meth:`cost` loop would leave them.
+        """
+        cached_cost = self._pair_cost.get
+        miss = self.cost
+        values: List[float] = []
+        hits = 0
+        for u, v in pairs:
+            cached = cached_cost((u, v))
+            if cached is None:
+                cached = miss(u, v)
+            else:
+                hits += 1
+            values.append(cached)
+        if hits:
+            _count_work("vnet.distance_cache.hits", hits)
+        return values
 
     def rebind(self, embedding: Embedding) -> int:
         """Switch to a new embedding, evicting only pairs whose endpoints moved.

@@ -286,11 +286,9 @@ class TestRegistry:
         with pytest.raises(ObsError, match="only move forward"):
             counter.inc(-1)
 
-    def test_gauge_tracks_high_water_mark(self):
+    def test_gauge_holds_the_last_value_set(self):
         gauge = Gauge()
-        gauge.track_max(3.0)
-        gauge.track_max(1.0)
-        assert gauge.value == 3.0
+        gauge.set(3.0)
         gauge.set(0.5)
         assert gauge.value == 0.5
 

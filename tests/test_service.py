@@ -21,7 +21,9 @@ The load-bearing guarantees:
 import os
 import queue
 import random
+import re
 import signal
+import sys
 import threading
 import time
 
@@ -32,6 +34,7 @@ from repro.core.rand_cliques import RandomizedCliqueLearner
 from repro.core.simulator import run_online
 from repro.errors import ServiceError
 from repro.graphs.reveal import GraphKind
+from repro.obs.clock import ManualClock, set_clock
 from repro.obs.clock import now as monotonic_now
 from repro.service import (
     BACKENDS,
@@ -622,6 +625,149 @@ class TestBrokerMechanics:
             ArrangementService([engine], partition, batch_timeout=0.0)
         with pytest.raises(ServiceError):
             ArrangementService([engine], partition, queue_capacity=0)
+
+
+_NOT_RUNNING = "the service is not running (start() it, and submit before drain())"
+
+
+def _two_shard_service(backend, batch_size=1):
+    partition = partition_components([[0, 1], [2, 3]], [0, 1, 2, 3], 2)
+    engines = [
+        ShardEngine(
+            shard_index=shard,
+            nodes=nodes,
+            kind=GraphKind.CLIQUES,
+            learner_factory=RandomizedCliqueLearner,
+            rng=random.Random(shard),
+            datacenter=LinearDatacenter(len(nodes)),
+        )
+        for shard, nodes in enumerate(partition.shard_nodes)
+    ]
+    return ArrangementService(engines, partition, batch_size=batch_size, backend=backend)
+
+
+def _both_submits_raise(service, pair, message):
+    for submit in (service.submit, service.try_submit):
+        with pytest.raises(ServiceError, match=re.escape(message)):
+            submit(pair)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestSubmitFold:
+    """Routing, numbering and stamping in one frame keeps every refusal."""
+
+    def test_before_start(self, backend):
+        service = _two_shard_service(backend)
+        try:
+            _both_submits_raise(service, (0, 1), _NOT_RUNNING)
+        finally:
+            service.close()
+
+    def test_after_drain(self, backend):
+        service = _two_shard_service(backend).start()
+        try:
+            assert service.submit((0, 1)) == 0
+            service.drain()
+            _both_submits_raise(service, (0, 1), _NOT_RUNNING)
+        finally:
+            service.close()
+
+    def test_after_close(self, backend):
+        service = _two_shard_service(backend).start()
+        service.close()
+        _both_submits_raise(service, (0, 1), _NOT_RUNNING)
+
+    def test_unknown_node(self, backend):
+        service = _two_shard_service(backend).start()
+        try:
+            for pair in ((0, 9), (9, 0)):
+                _both_submits_raise(
+                    service,
+                    pair,
+                    "request names unknown node 9; the service hosts 4 nodes",
+                )
+            # Nothing was numbered: the next request still gets index 0.
+            assert service.submit((2, 3)) == 0
+            service.drain()
+        finally:
+            service.close()
+
+    def test_cross_shard_pair(self, backend):
+        service = _two_shard_service(backend).start()
+        try:
+            _both_submits_raise(
+                service,
+                (1, 2),
+                "request (1, 2) crosses shards 0 and 1; the partition must be "
+                "component-aligned (requests and reveals are intra-component "
+                "in the paper's model)",
+            )
+            assert service.try_submit((3, 2)) == 0
+            assert [result.shard for result in service.drain()] == [1]
+        finally:
+            service.close()
+
+
+class TestConcurrentSubmitters:
+    def test_every_request_is_numbered_once_and_served_once(self):
+        # More submitters than cores and a short switch interval: a lost
+        # update of the index counter or a shard buffer shows as a
+        # duplicate index or a missing result.
+        pairs = [(0, 1), (2, 3), (1, 0), (3, 2)]
+        submitters, per_submitter = 6, 300
+        service = _two_shard_service("thread", batch_size=4).start()
+        indices = [[] for _ in range(submitters)]
+
+        def submit_all(mine):
+            for step in range(per_submitter):
+                mine.append(service.submit(pairs[step % len(pairs)], timeout=30.0))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=submit_all, args=(mine,)) for mine in indices
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            results = service.drain()
+        finally:
+            service.close()
+        total = submitters * per_submitter
+        assert sorted(index for mine in indices for index in mine) == list(range(total))
+        assert [result.request_index for result in results] == list(range(total))
+        served = {pair: 0 for pair in pairs}
+        for result in results:
+            served[result.pair] += 1
+        assert served == {pair: total // len(pairs) for pair in pairs}
+        for mine in indices:
+            assert mine == sorted(mine)
+
+
+class TestSubmitClock:
+    def test_manual_clock_installed_before_start_gives_exact_queue_seconds(self):
+        clock = ManualClock(10.0)
+        previous = set_clock(clock)
+        service = ArrangementService([_engine()], _partition(), batch_size=2)
+        try:
+            service.start()
+            service.submit((0, 1))
+            clock.advance(0.25)
+            # Completes the batch; the worker stamps it at 10.25.
+            service.submit((0, 2))
+            first, second = service.drain()
+        finally:
+            service.close()
+            set_clock(previous)
+        assert (first.queue_seconds, second.queue_seconds) == (0.25, 0.0)
+        assert (first.latency_seconds, second.latency_seconds) == (0.25, 0.0)
+        assert first.service_seconds == 0.0
 
 
 # ----------------------------------------------------------------------
