@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional
 
 from repro.core.algorithm import OnlineMinLAAlgorithm
 from repro.core.instance import OnlineMinLAInstance
 from repro.core.opt import offline_optimum_bounds
-from repro.core.simulator import run_online, run_trials
+from repro.core.simulator import run_trials
 from repro.errors import ReproError
 from repro.graphs.generators import random_clique_merge_sequence, random_line_sequence
 from repro.graphs.reveal import GraphKind
@@ -247,21 +247,3 @@ def worst_of_k_search(
         candidates_evaluated=num_candidates,
     )
 
-
-def stress_costs(
-    algorithm_factory: Callable[[], OnlineMinLAAlgorithm],
-    instances: Sequence[OnlineMinLAInstance],
-    seed: int = 0,
-) -> List[float]:
-    """Single-run costs of an algorithm over a fixed battery of instances.
-
-    A convenience for regression-style stress tests: run one (seeded) trial on
-    every instance of the battery and return the per-instance costs.
-    """
-    costs: List[float] = []
-    for index, instance in enumerate(instances):
-        result = run_online(
-            algorithm_factory(), instance, rng=random.Random(f"stress-{seed}-{index}")
-        )
-        costs.append(float(result.total_cost))
-    return costs

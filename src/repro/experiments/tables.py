@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Sequence, Union
+from typing import Any, List, Sequence, Union
 
 from repro.errors import ExperimentError
 
@@ -48,13 +48,6 @@ class ResultTable:
                 f"row has {len(values)} values but the table has {len(self.columns)} columns"
             )
         self.rows.append(list(values))
-
-    def add_row_dict(self, values: Dict[str, Value]) -> None:
-        """Append one row given as a ``column -> value`` mapping."""
-        missing = set(self.columns) - set(values)
-        if missing:
-            raise ExperimentError(f"row is missing columns {sorted(missing)}")
-        self.add_row(*[values[column] for column in self.columns])
 
     def column(self, name: str) -> List[Value]:
         """All values of one column, in row order."""

@@ -14,7 +14,7 @@ be enumerated in ``O(component size)``.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List
+from typing import Dict, FrozenSet, Hashable, Iterable, List
 
 from repro.errors import ReproError
 
@@ -109,10 +109,6 @@ class DisjointSetForest:
         """All components as a list of frozensets (in no particular order)."""
         # repro: allow[det003] — dict of roots is insertion-ordered; union() updates it deterministically
         return [frozenset(members) for members in self._members.values()]
-
-    def representatives(self) -> Iterator[Node]:
-        """Iterate over one representative per component."""
-        return iter(self._members)
 
     @property
     def num_components(self) -> int:

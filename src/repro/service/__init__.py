@@ -27,7 +27,7 @@ from repro.service.broker import (
     ArrangementService,
     ServeResult,
 )
-from repro.service.engine import ServeRecord, ShardEngine, ShardReport
+from repro.service.engine import ShardEngine, ShardReport
 from repro.service.loadgen import (
     LEARNERS,
     MODES,
@@ -71,7 +71,6 @@ __all__ = [
     "LEARNERS",
     "LoadReport",
     "MODES",
-    "ServeRecord",
     "ServeResult",
     "ServiceSummary",
     "ShardEngine",

@@ -224,7 +224,7 @@ def serve_shard(
                     break
                 batch.extend(item)
             started = monotonic_now()
-            records = engine.serve_batch([pair for _, pair, _ in batch])
+            rows = engine.serve_batch([pair for _, pair, _ in batch])
             finished = monotonic_now()
             # repro: allow[obs002] — per-batch service latency feeds the shard histograms, not a zone
             service_seconds = finished - started
@@ -233,35 +233,24 @@ def serve_shard(
                 latency_seconds=[
                     finished - enqueued_at for _, _, enqueued_at in batch
                 ],
-                num_reveals=sum(1 for record in records if record.revealed),
+                num_reveals=[revealed for revealed, _, _ in rows].count(True),
                 service_seconds=service_seconds,
             )
             if emit is not None:
-                emit(
-                    (
-                        service_seconds,
-                        started,
-                        finished,
-                        [
-                            (
-                                index,
-                                pair,
-                                record.revealed,
-                                record.migration_swaps,
-                                record.communication_cost,
-                                enqueued_at,
-                            )
-                            for (index, pair, enqueued_at), record in zip(
-                                batch, records
-                            )
-                        ],
+                served = [
+                    (index, pair, revealed, swaps, cost, enqueued_at)
+                    for (index, pair, enqueued_at), (revealed, swaps, cost) in zip(
+                        batch, rows
                     )
-                )
-            if spans is not None:
+                ]
+                emit((service_seconds, started, finished, served))
+            # Per-shard indices are monotone, so one integer compare on the
+            # batch's last index skips a batch with no sampled request (and
+            # every batch once the retention cap is reached), and one per
+            # request skips every unsampled request of the rest.
+            if spans is not None and batch[-1][0] >= spans.next_interesting:
                 replied = monotonic_now()
                 for index, _, enqueued_at in batch:
-                    # Per-shard indices are monotone, so one integer
-                    # compare skips every unsampled request.
                     if index >= spans.next_interesting and spans.wants(index):
                         spans.record_raw(
                             index,

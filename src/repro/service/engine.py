@@ -54,17 +54,12 @@ Node = Hashable
 Request = Tuple[Node, Node]
 
 
-@dataclass(frozen=True)
-class ServeRecord:
-    """The cost outcome of serving one request (no timing — the broker adds it)."""
-
-    pair: Request
-    revealed: bool
-    """Whether this request revealed a new piece of the hidden pattern."""
-    migration_swaps: int
-    """Learner swaps triggered by this request (0 unless it revealed)."""
-    communication_cost: float
-    """Slot-distance charge of this message (0.0 in reveals mode)."""
+#: What serving one request produced: ``(revealed, migration_swaps,
+#: communication_cost)``.  ``revealed`` says whether it joined two components
+#: of the hidden pattern, ``migration_swaps`` counts the learner swaps that
+#: triggered (0 unless it revealed), ``communication_cost`` is its
+#: slot-distance charge (0.0 in reveals mode).  No timing: the broker adds it.
+Row = Tuple[bool, int, float]
 
 
 @dataclass(frozen=True)
@@ -88,7 +83,7 @@ class ShardReport:
 
 
 class ShardEngine:
-    """One shard's serving state: ``submit(request) -> ServeRecord``.
+    """One shard's serving state: ``serve_batch(pairs)`` returns one :data:`Row` each.
 
     Parameters
     ----------
@@ -173,18 +168,15 @@ class ShardEngine:
     # ------------------------------------------------------------------
     # Serving
     # ------------------------------------------------------------------
-    def submit(self, pair: Request) -> ServeRecord:
-        """Serve one request as its own single-request rearrangement pass."""
-        return self.serve_batch([pair])[0]
-
-    def serve_batch(self, pairs: Sequence[Request]) -> List[ServeRecord]:
+    def serve_batch(self, pairs: Sequence[Request]) -> List[Row]:
         """Serve a micro-batch of requests in one rearrangement pass.
 
         Traffic mode mirrors ``run_stream``: every request is charged on the
         embedding as of the batch start, reveals are fed to the learner in
         request order, and the slot maps are refreshed once at the end (with
         incremental distance-cache invalidation).  Reveals mode feeds every
-        request to the learner directly.
+        request to the learner directly.  Returns one :data:`Row` per
+        request, in request order.
         """
         if not pairs:
             return []
@@ -192,7 +184,7 @@ class ShardEngine:
         self._num_requests += len(pairs)
         cache = self._cache
         if cache is None:
-            return self._serve_reveal_batch(pairs)
+            return [(True, self._reveal(u, v), 0.0) for u, v in pairs]
         communication = cache.costs(pairs)
         # Accumulate through a per-batch subtotal, matching the controller's
         # per-batch summation order bit for bit.
@@ -200,63 +192,32 @@ class ShardEngine:
         for cost in communication:
             batch_cost += cost
         self._communication += batch_cost
-        records: List[ServeRecord] = []
+        rows: List[Row] = []
+        append = rows.append
+        connected = self._components.connected
         revealed_in_batch = False
-        for pair, cost in zip(pairs, communication):
-            u, v = pair
-            if not self._components.connected(u, v):
-                if self._line_view is not None:
-                    self._line_view.add_edge(u, v)
-                record = self._learner.process(RevealStep(u, v))
-                self._ledger.add(record)
-                if self._recorder is not None:
-                    self._recorder.record_update(record)
-                self._components.union(u, v)
-                revealed_in_batch = True
-                records.append(
-                    ServeRecord(
-                        pair=pair,
-                        revealed=True,
-                        migration_swaps=record.total_cost,
-                        communication_cost=cost,
-                    )
-                )
+        for (u, v), cost in zip(pairs, communication):
+            if connected(u, v):
+                append((False, 0, cost))
             else:
-                records.append(
-                    ServeRecord(
-                        pair=pair,
-                        revealed=False,
-                        migration_swaps=0,
-                        communication_cost=cost,
-                    )
-                )
+                append((True, self._reveal(u, v), cost))
+                revealed_in_batch = True
         if revealed_in_batch:
             cache.rebind(
                 cache.embedding.with_arrangement(self._learner.current_arrangement)
             )
-        return records
+        return rows
 
-    def _serve_reveal_batch(self, pairs: Sequence[Request]) -> List[ServeRecord]:
-        """Reveals mode: every request is a reveal step (batch-invariant costs)."""
-        records: List[ServeRecord] = []
-        for pair in pairs:
-            u, v = pair
-            if self._line_view is not None:
-                self._line_view.add_edge(u, v)
-            record = self._learner.process(RevealStep(u, v))
-            self._ledger.add(record)
-            if self._recorder is not None:
-                self._recorder.record_update(record)
-            self._components.union(u, v)
-            records.append(
-                ServeRecord(
-                    pair=pair,
-                    revealed=True,
-                    migration_swaps=record.total_cost,
-                    communication_cost=0.0,
-                )
-            )
-        return records
+    def _reveal(self, u: Node, v: Node) -> int:
+        """Feed the reveal ``(u, v)`` to the learner; returns its swaps."""
+        if self._line_view is not None:
+            self._line_view.add_edge(u, v)
+        record = self._learner.process(RevealStep(u, v))
+        self._ledger.add(record)
+        if self._recorder is not None:
+            self._recorder.record_update(record)
+        self._components.union(u, v)
+        return record.total_cost
 
     # ------------------------------------------------------------------
     # State access

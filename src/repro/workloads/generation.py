@@ -82,11 +82,12 @@ def random_clique_merge_sequence(
             first_index, second_index = rng.sample(range(len(components)), 2)
         first, second = components[first_index], components[second_index]
         steps.append(RevealStep(rng.choice(first), rng.choice(second)))
-        merged = first + second
-        components = [
-            c for i, c in enumerate(components) if i not in (first_index, second_index)
-        ]
-        components.append(merged)
+        # Drop both (higher index first, so the lower one stays put) and
+        # append the merge: the list the next draw indexes into is the same
+        # as rebuilding it without the two.
+        del components[max(first_index, second_index)]
+        del components[min(first_index, second_index)]
+        components.append(first + second)
     return CliqueRevealSequence(universe, steps)
 
 

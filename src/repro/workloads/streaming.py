@@ -27,6 +27,9 @@ comes from ``sample``'s two ``rng._randbelow`` branches — the pool swap
 (``i = below(n)``, ``j = below(n - 1)``, slot ``i`` refilled from the last
 member) for groups of at most :data:`SAMPLE_POOL_MAX` members, and the
 rejection set (``j = below(n)`` redrawn until ``j != i``) above that.
+Each ``below(n)`` is inlined as the loop of ``random.Random._randbelow``
+(CPython's ``_randbelow_with_getrandbits``): ``rng.getrandbits(k)`` with
+``k = n.bit_length()``, redrawn until it is below ``n``.
 ``tests/test_property_streaming.py`` pins the result against the stdlib
 calls on every supported Python.
 """
@@ -113,11 +116,11 @@ def iter_tenant_requests(
     Makes the draws of the historical ``tenant_traffic`` loop —
     ``rng.choices(groups, cum_weights=cumulative)[0]``, then
     ``rng.sample(group, 2)`` — directly (see the module docstring): one
-    ``bisect`` and two ``_randbelow`` calls per request, plus a redraw when
-    a large group's second index repeats the first.  Invalid weights raise
-    the ``ValueError`` that ``random.choices`` raises.  A group with fewer
-    than two members is rejected up front: ``sample`` would raise when it is
-    picked, while ``_randbelow(0)`` never returns.
+    ``bisect`` and two ``_randbelow`` rejection loops per request, plus a
+    redraw when a large group's second index repeats the first.  Invalid
+    weights raise the ``ValueError`` that ``random.choices`` raises.  A group
+    with fewer than two members is rejected up front: ``sample`` would raise
+    when it is picked, while ``_randbelow(0)`` never returns.
     """
     cumulative = list(itertools.accumulate(weights))
     if len(cumulative) != len(groups):
@@ -129,20 +132,30 @@ def iter_tenant_requests(
         raise ValueError("Total of weights must be finite")
     if any(len(group) < 2 for group in groups):
         raise ReproError("every traffic component needs at least two virtual nodes")
+    # Per group: its members, its size and the bit widths of ``n`` and
+    # ``n - 1`` that ``_randbelow(n)`` and ``_randbelow(n - 1)`` draw with.
+    shapes = [
+        (group, len(group), len(group).bit_length(), (len(group) - 1).bit_length())
+        for group in groups
+    ]
     hi = len(cumulative) - 1
     rand = rng.random
-    below = rng._randbelow
+    getrandbits = rng.getrandbits
     for _ in range(num_requests):
-        group = groups[bisect(cumulative, rand() * total, 0, hi)]
-        n = len(group)
-        i = below(n)
+        group, n, k, k_last = shapes[bisect(cumulative, rand() * total, 0, hi)]
+        i = getrandbits(k)
+        while i >= n:
+            i = getrandbits(k)
         if n <= SAMPLE_POOL_MAX:
-            j = below(n - 1)
-            yield (group[i], group[n - 1] if j == i else group[j])
+            last = n - 1
+            j = getrandbits(k_last)
+            while j >= last:
+                j = getrandbits(k_last)
+            yield (group[i], group[last] if j == i else group[j])
         else:
-            j = below(n)
-            while j == i:
-                j = below(n)
+            j = getrandbits(k)
+            while j >= n or j == i:
+                j = getrandbits(k)
             yield (group[i], group[j])
 
 

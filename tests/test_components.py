@@ -50,9 +50,6 @@ class TestDisjointSetForest:
         forest.union(0, 1)
         components = sorted(tuple(sorted(c)) for c in forest.components())
         assert components == [(0, 1), (2,), (3,)]
-        assert sorted(forest.representatives()) == sorted(
-            {forest.find(node) for node in range(4)}
-        )
 
     def test_copy_is_independent(self):
         forest = DisjointSetForest(range(4))

@@ -67,7 +67,7 @@ class TestResultTable:
     def test_add_rows_and_column_access(self):
         table = ResultTable(title="demo", columns=["n", "ratio"])
         table.add_row(8, 1.5)
-        table.add_row_dict({"n": 16, "ratio": 2.0})
+        table.add_row(16, 2.0)
         assert table.column("n") == [8, 16]
         with pytest.raises(ExperimentError):
             table.column("missing")
@@ -76,8 +76,6 @@ class TestResultTable:
         table = ResultTable(title="demo", columns=["a", "b"])
         with pytest.raises(ExperimentError):
             table.add_row(1)
-        with pytest.raises(ExperimentError):
-            table.add_row_dict({"a": 1})
 
     def test_ascii_and_markdown_rendering(self):
         table = ResultTable(title="demo table", columns=["name", "value", "flag"])

@@ -52,15 +52,15 @@ def _sequential(stream, requests, partition, seed, batch_size):
     for engine, items in zip(engines, per_shard):
         for start in range(0, len(items), batch_size):
             batch = items[start : start + batch_size]
-            records = engine.serve_batch([pair for _, pair in batch])
-            for (index, pair), record in zip(batch, records):
+            rows = engine.serve_batch([pair for _, pair in batch])
+            for (index, pair), (revealed, swaps, cost) in zip(batch, rows):
                 outcomes[index] = (
                     index,
                     pair,
                     engine.shard_index,
-                    record.revealed,
-                    record.migration_swaps,
-                    record.communication_cost,
+                    revealed,
+                    swaps,
+                    cost,
                     len(batch),
                 )
     return (

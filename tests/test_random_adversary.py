@@ -7,7 +7,6 @@ import pytest
 from repro.adversary.random_adversary import (
     AdversarialSearchResult,
     random_instance,
-    stress_costs,
     worst_of_k_search,
 )
 from repro.core.bounds import rand_cliques_ratio_bound, rand_lines_ratio_bound
@@ -161,13 +160,3 @@ class TestWorstOfKSearch:
                 trials_per_candidate=0,
             )
 
-
-class TestStressCosts:
-    def test_costs_cover_all_instances_and_are_reproducible(self):
-        rng = random.Random(3)
-        instances = [random_instance(GraphKind.LINES, 8, rng) for _ in range(4)]
-        first = stress_costs(RandomizedLineLearner, instances, seed=1)
-        second = stress_costs(RandomizedLineLearner, instances, seed=1)
-        assert len(first) == 4
-        assert first == second
-        assert all(cost >= 0 for cost in first)

@@ -36,6 +36,7 @@ from repro.errors import ServiceError
 from repro.graphs.reveal import GraphKind
 from repro.obs.clock import ManualClock, set_clock
 from repro.obs.clock import now as monotonic_now
+from repro.obs.spans import SpanCollector, SpanSampler
 from repro.service import (
     BACKENDS,
     ArrangementService,
@@ -160,6 +161,45 @@ class TestServingDeterminism:
             assert a.revealed == b.revealed
             assert a.migration_swaps == b.migration_swaps
             assert a.communication_cost == b.communication_cost
+
+
+class TestServedTotalsGolden:
+    """Pinned served totals of one fixed replay, the same on both backends."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_zipf_tenants_replay(self, backend):
+        report = _serve_stream("zipf-tenants", 64, 5000, 0, 2, 16, backend)
+        summary = report.summary
+        results = report.results
+        assert report.shard_requests == {0: 3065, 1: 1935}
+        assert (summary.num_requests, summary.num_batches) == (5000, 313)
+        assert summary.num_reveals == 42
+        # The serving loop's own reveal count, taken from the engine's rows.
+        assert report.snapshot.num_reveals == 42
+        assert (summary.migration_cost, summary.communication_cost) == (
+            18.0,
+            5437.0,
+        )
+        assert sum(result.revealed for result in results) == 42
+        assert sum(result.migration_swaps for result in results) == 18
+        assert sum(result.communication_cost for result in results) == 5437.0
+        # Index-weighted sums pin which requests carried each cost.
+        assert (
+            sum(result.request_index * result.migration_swaps for result in results)
+            == 3743
+        )
+        assert (
+            sum(
+                result.request_index * result.communication_cost
+                for result in results
+            )
+            == 13578632.0
+        )
+        assert {
+            (type(result.revealed), type(result.migration_swaps))
+            for result in results
+        } == {(bool, int)}
+        assert {type(result.communication_cost) for result in results} == {float}
 
 
 # ----------------------------------------------------------------------
@@ -515,6 +555,25 @@ class TestServeShard:
         assert requests.empty()
         assert metrics.finished_at is not None
 
+    def test_spans_trace_every_sampled_request_of_a_batch(self):
+        # A batch is skipped only when its last index lies below the
+        # collector's next sampled index; any sampled request inside a
+        # batch, first entry or not, is traced.
+        pairs = [(0, 1), (1, 2), (2, 3), (0, 3)] * 12
+        sampler = SpanSampler(5, 0.3)
+        spans = SpanCollector(sampler, max_traces=len(pairs))
+        serve_shard(
+            _engine(),
+            self._queue(pairs),
+            batch_size=4,
+            batch_timeout=None,
+            metrics=ShardMetrics(0),
+            spans=spans,
+        )
+        expected = [index for index in range(len(pairs)) if sampler.sampled(index)]
+        assert [index % 4 for index in expected] != [0] * len(expected)
+        assert [trace.request_index for trace in spans.traces()] == expected
+
     def test_expanded_results_keep_the_per_request_values(self):
         # expand_batch must reproduce exactly what the loop measured: the
         # same float expressions over the enqueue stamps the queue carried.
@@ -536,16 +595,18 @@ class TestServeShard:
         for service_seconds, started, finished, rows in emitted:
             assert service_seconds == finished - started
             batch = entries[len(expected) : len(expected) + len(rows)]
-            records = reference.serve_batch([pair for _, pair, _ in batch])
-            for (index, pair, enqueued_at), record in zip(batch, records):
+            reference_rows = reference.serve_batch([pair for _, pair, _ in batch])
+            for (index, pair, enqueued_at), (revealed, swaps, cost) in zip(
+                batch, reference_rows
+            ):
                 expected.append(
                     (
                         index,
                         pair,
                         engine.shard_index,
-                        record.revealed,
-                        record.migration_swaps,
-                        record.communication_cost,
+                        revealed,
+                        swaps,
+                        cost,
                         started - enqueued_at,
                         service_seconds,
                         finished - enqueued_at,
@@ -872,7 +933,10 @@ class TestShardEngine:
                 datacenter=LinearDatacenter(5),
             )
 
-    def test_submit_is_a_singleton_batch(self):
+    def test_serve_batch_returns_plain_rows(self):
+        # One (revealed, migration_swaps, communication_cost) tuple per
+        # request: the reveal is charged on the embedding as of the batch
+        # start, the repeat of a joined pair costs no swaps.
         engine = ShardEngine(
             0,
             (0, 1, 2, 3),
@@ -881,13 +945,34 @@ class TestShardEngine:
             rng=random.Random(1),
             datacenter=LinearDatacenter(4),
         )
-        record = engine.submit((0, 3))
-        assert record.revealed
-        assert record.communication_cost == 3.0
+        rows = engine.serve_batch([(0, 3), (0, 3)])
+        swaps = engine.ledger.total_cost
+        assert swaps > 0
+        assert rows == [(True, swaps, 3.0), (False, 0, 3.0)]
+        assert [type(value) for value in rows[0]] == [bool, int, float]
         report = engine.report()
-        assert report.num_requests == 1
+        assert report.num_requests == 2
         assert report.num_batches == 1
         assert report.num_reveals == 1
+        # The next batch is charged on the embedding the reveal left.
+        moved = engine.current_arrangement
+        distance = float(abs(moved.position(0) - moved.position(3)))
+        assert engine.serve_batch([(3, 0)]) == [(False, 0, distance)]
+
+    def test_reveals_mode_rows_carry_no_communication(self):
+        engine = ShardEngine(
+            0,
+            (0, 1, 2, 3),
+            GraphKind.CLIQUES,
+            RandomizedCliqueLearner,
+            rng=random.Random(1),
+        )
+        rows = engine.serve_batch([(0, 3), (1, 2)])
+        assert [revealed for revealed, _, _ in rows] == [True, True]
+        assert [cost for _, _, cost in rows] == [0.0, 0.0]
+        assert sum(swaps for _, swaps, _ in rows) == engine.ledger.total_cost
+        assert engine.serve_batch([]) == []
+        assert engine.report().num_batches == 1
 
     def test_concurrent_shards_do_not_share_state(self):
         # Two engines served from two threads produce the same totals as
@@ -908,12 +993,12 @@ class TestShardEngine:
         pairs = [(0, 1), (4, 5), (0, 2), (6, 7), (1, 3), (4, 6)]
         sequential = build_engines()
         for u, v in pairs:
-            sequential[u // 4].submit((u, v))
+            sequential[u // 4].serve_batch([(u, v)])
         concurrent = build_engines()
         threads = [
             threading.Thread(
                 target=lambda shard: [
-                    concurrent[shard].submit(pair)
+                    concurrent[shard].serve_batch([pair])
                     for pair in pairs
                     if pair[0] // 4 == shard
                 ],
