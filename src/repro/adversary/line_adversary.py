@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.core.algorithm import OnlineMinLAAlgorithm
 from repro.core.cost import CostLedger
@@ -67,12 +67,6 @@ class LineAdversaryResult:
     def ratio_lower_estimate(self) -> float:
         """Cost divided by the offline *upper* bound (a conservative ratio estimate)."""
         denominator = max(self.opt_bounds.upper, 1)
-        return self.total_cost / denominator
-
-    @property
-    def ratio_upper_estimate(self) -> float:
-        """Cost divided by the offline *lower* bound (an optimistic-for-OPT estimate)."""
-        denominator = max(self.opt_bounds.lower, 1)
         return self.total_cost / denominator
 
 

@@ -449,7 +449,6 @@ def _archive_serving_run(arguments, experiment_id: str, title: str, scenario: st
                          summary, extra_findings=None) -> None:
     """Append one serving/soak summary to the persistent run store."""
     from repro.runstore import RunRecord, RunStore
-    from repro.telemetry import get_backend
 
     findings = dict(summary.findings())
     findings.update(extra_findings or {})
@@ -461,7 +460,6 @@ def _archive_serving_run(arguments, experiment_id: str, title: str, scenario: st
             scenario=scenario,
             scale=arguments.scale,
             seed=arguments.seed,
-            backend=get_backend().name,
             jobs=arguments.shards,
             wall_time_seconds=summary.wall_seconds,
             tables=_summary_tables(summary, title),

@@ -15,7 +15,6 @@ from repro.core.opt import OptBounds, exact_optimal_online_cost, offline_optimum
 from repro.core.permutation import (
     Arrangement,
     MutableArrangement,
-    kendall_tau_batch,
     kendall_tau_distance,
     random_arrangement,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "exact_optimal_online_cost",
     "expected_cost",
     "harmonic_number",
-    "kendall_tau_batch",
     "kendall_tau_distance",
     "offline_optimum_bounds",
     "rand_cliques_ratio_bound",

@@ -60,11 +60,6 @@ def disagreement_trajectory(
     return [reference.kendall_tau(arrangement) for arrangement in result.arrangements]
 
 
-def peak_disagreement(result: SimulationResult, reference: Arrangement) -> int:
-    """The maximum drift from ``reference`` over the whole run."""
-    return max(disagreement_trajectory(result, reference))
-
-
 # ----------------------------------------------------------------------
 # Merge profiles and harmonic certificates
 # ----------------------------------------------------------------------

@@ -2,11 +2,10 @@
 
 Applications such as the virtual-network-embedding controller often do not
 want to hard-code whether the traffic pattern is a collection of cliques or a
-collection of lines — they just want "the paper's randomized algorithm" or
-"the deterministic baseline" for whatever instance shows up.  The factories
-below defer the choice to :meth:`reset`, when the instance's
-:class:`~repro.graphs.reveal.GraphKind` is known, and then delegate every
-call to the appropriate concrete learner.
+collection of lines — they just want "the paper's randomized algorithm" for
+whatever instance shows up.  The factories below defer the choice to
+:meth:`reset`, when the instance's :class:`~repro.graphs.reveal.GraphKind`
+is known, and then delegate every call to the appropriate concrete learner.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from typing import Dict, Optional, Sequence, Tuple, Type
 
 from repro.core.algorithm import Node, OnlineMinLAAlgorithm
 from repro.core.cost import UpdateRecord
-from repro.core.det import DeterministicClosestLearner
 from repro.core.permutation import Arrangement
 from repro.core.rand_cliques import RandomizedCliqueLearner
 from repro.core.rand_lines import RandomizedLineLearner
@@ -99,16 +97,3 @@ class AutoRandomizedLearner(KindDispatchingLearner):
             }
         )
 
-
-class AutoDeterministicLearner(KindDispatchingLearner):
-    """The deterministic closest-to-``π_0`` algorithm for either kind."""
-
-    name = "det-auto"
-
-    def __init__(self) -> None:
-        super().__init__(
-            {
-                GraphKind.CLIQUES: DeterministicClosestLearner,
-                GraphKind.LINES: DeterministicClosestLearner,
-            }
-        )

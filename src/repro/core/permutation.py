@@ -10,23 +10,19 @@ one arrangement into the other.
 This module provides :class:`Arrangement`, an immutable ordering of hashable
 node labels, together with
 
-* the Kendall-tau distance (``O(n log n)`` inversion counting through the
-  pluggable :mod:`repro.telemetry.backends` backend),
-* the block operations used by the paper's algorithms (sliding a contiguous
-  component next to another one, reversing a contiguous component, rewriting
-  the internal order of a contiguous component), each returning the new
-  arrangement *and* the exact number of adjacent swaps it costs,
+* the Kendall-tau distance, counted by the one inversion counter of
+  :mod:`repro.telemetry.backends`,
+* the block slide the paper's algorithms move components with, returning
+  the new arrangement *and* the exact number of adjacent swaps it costs,
 * small helpers (spans, contiguity checks, restrictions) shared by the
   offline solvers, the online algorithms and the analysis code.
 
-All block operations on :class:`Arrangement` preserve immutability: they
-return a fresh :class:`Arrangement` and never mutate ``self``.
-
-:class:`MutableArrangement` is the array-backed fast path used internally by
-the online algorithms: the same block operations, but executed in place on
-int-indexed ``order``/``position`` arrays, each returning only the swap
-count.  Immutable :class:`Arrangement` snapshots are materialized at API
-boundaries via :meth:`MutableArrangement.snapshot`.
+:class:`MutableArrangement` is the array-backed fast path the online
+algorithms run on: the block slide, block rewrites and wholesale rewrites,
+executed in place on int-indexed ``order``/``position`` arrays; the slide
+and the wholesale rewrite return their swap count.  Immutable
+:class:`Arrangement` snapshots are materialized at API boundaries via
+:meth:`MutableArrangement.snapshot`.
 """
 
 from __future__ import annotations
@@ -36,28 +32,10 @@ from typing import Dict, Hashable, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.errors import ArrangementError
 from repro.obs.profile import count_work as _count_work
-from repro.telemetry import backends as _backends
+from repro.telemetry.backends import count_inversions
 
 Node = Hashable
 """Type alias for node labels: any hashable object (ints, strings, tuples)."""
-
-
-def count_inversions(values: Sequence[int]) -> int:
-    """Count inversions of an integer sequence in ``O(n log n)``.
-
-    An inversion is a pair of indices ``i < j`` with ``values[i] > values[j]``.
-    The count equals the Kendall-tau distance between the sequence and its
-    sorted version, which is the workhorse of all distance computations in
-    this module.  The actual counting is delegated to the active
-    :mod:`repro.telemetry.backends` backend (pure-Python merge sort, or the
-    vectorized numpy backend when available).
-
-    >>> count_inversions([0, 1, 2, 3])
-    0
-    >>> count_inversions([3, 2, 1, 0])
-    6
-    """
-    return _backends.count_inversions(values)
 
 
 class Arrangement:
@@ -232,27 +210,6 @@ class Arrangement:
         projected = [other.position(node) for node in self._order]
         return count_inversions(projected)
 
-    def inversions_between(self, left_nodes: Iterable[Node], right_nodes: Iterable[Node]) -> int:
-        """Count pairs ``(l, r)`` with ``l`` in ``left_nodes`` appearing *right* of ``r``.
-
-        Equivalently: the number of adjacent swaps between the two groups that
-        would be needed to place every node of ``left_nodes`` to the left of
-        every node of ``right_nodes`` (ignoring internal order).  The two node
-        sets must be disjoint.
-        """
-        left = set(left_nodes)
-        right = set(right_nodes)
-        if left & right:
-            raise ArrangementError("inversions_between() requires disjoint node sets")
-        count = 0
-        seen_right = 0
-        for node in self._order:
-            if node in right:
-                seen_right += 1
-            elif node in left:
-                count += seen_right
-        return count
-
     # ------------------------------------------------------------------
     # Elementary moves
     # ------------------------------------------------------------------
@@ -262,13 +219,6 @@ class Arrangement:
             raise ArrangementError(f"adjacent swap at position {position} is out of range")
         order = list(self._order)
         order[position], order[position + 1] = order[position + 1], order[position]
-        return Arrangement(order)
-
-    def swap_nodes(self, x: Node, y: Node) -> "Arrangement":
-        """Exchange the positions of nodes ``x`` and ``y`` (not necessarily adjacent)."""
-        px, py = self.position(x), self.position(y)
-        order = list(self._order)
-        order[px], order[py] = order[py], order[px]
         return Arrangement(order)
 
     # ------------------------------------------------------------------
@@ -328,64 +278,6 @@ class Arrangement:
         _count_work("core.permutation.swaps", cost)
         return Arrangement(new_order), cost
 
-    def reverse_block(self, block: Iterable[Node]) -> Tuple["Arrangement", int]:
-        """Reverse the internal order of a contiguous ``block``.
-
-        Returns the new arrangement and the number of adjacent swaps, which is
-        ``C(|block|, 2)`` — every pair inside the block crosses exactly once.
-        """
-        block = list(block)
-        lo, hi = self._block_bounds(block)
-        order = list(self._order)
-        order[lo : hi + 1] = reversed(order[lo : hi + 1])
-        size = hi - lo + 1
-        cost = size * (size - 1) // 2
-        _count_work("core.permutation.reversals")
-        _count_work("core.permutation.swaps", cost)
-        return Arrangement(order), cost
-
-    def rewrite_block(self, new_block_order: Sequence[Node]) -> Tuple["Arrangement", int]:
-        """Replace the internal order of a contiguous block of nodes.
-
-        ``new_block_order`` must contain exactly the nodes of a contiguous
-        block of ``self``; the block keeps its span and adopts the new
-        internal order.  The cost is the Kendall-tau distance restricted to
-        the block (the rest of the arrangement is untouched).
-        """
-        new_block_order = list(new_block_order)
-        lo, hi = self._block_bounds(new_block_order)
-        current = list(self._order[lo : hi + 1])
-        target_positions = {node: index for index, node in enumerate(new_block_order)}
-        cost = count_inversions([target_positions[node] for node in current])
-        order = list(self._order)
-        order[lo : hi + 1] = new_block_order
-        _count_work("core.permutation.rewrites")
-        _count_work("core.permutation.swaps", cost)
-        return Arrangement(order), cost
-
-    def move_block_to_index(
-        self, block: Iterable[Node], new_leftmost_index: int
-    ) -> Tuple["Arrangement", int]:
-        """Move a contiguous ``block`` so that it starts at ``new_leftmost_index``.
-
-        The remaining nodes keep their relative order.  Returns the new
-        arrangement and the number of adjacent swaps
-        (``|block| * displacement of the surrounding nodes``), which equals
-        the Kendall-tau distance between the two arrangements.
-        """
-        block = list(block)
-        lo, hi = self._block_bounds(block)
-        size = hi - lo + 1
-        others = [node for node in self._order if node not in set(block)]
-        if new_leftmost_index < 0 or new_leftmost_index + size > len(self._order):
-            raise ArrangementError("move_block_to_index(): target span is out of range")
-        moved = list(self._order[lo : hi + 1])
-        new_order = others[:new_leftmost_index] + moved + others[new_leftmost_index:]
-        cost = size * abs(new_leftmost_index - lo)
-        _count_work("core.permutation.moves")
-        _count_work("core.permutation.swaps", cost)
-        return Arrangement(new_order), cost
-
 
 class MutableArrangement:
     """An array-backed, mutable linear arrangement — the hot-path twin of
@@ -395,10 +287,10 @@ class MutableArrangement:
     afterwards the arrangement is two plain int arrays (``order``: position →
     node index, ``position``: node index → position) that the block operations
     rewrite in place; :attr:`labels` is the fixed index → label tuple and
-    :meth:`index_order` copies ``order``.  Every operation returns the exact
-    number of adjacent swaps it performed, with the same semantics (and the same
-    :class:`~repro.errors.ArrangementError` validation) as the corresponding
-    :class:`Arrangement` method.
+    :meth:`index_order` copies ``order``.  Every operation that moves nodes
+    returns the exact number of adjacent swaps it performed; the slide has the
+    same semantics (and the same :class:`~repro.errors.ArrangementError`
+    validation) as :meth:`Arrangement.slide_block_next_to`.
 
     The read-only query surface (``position``, ``span``, ``is_contiguous``,
     indexing, iteration) mirrors :class:`Arrangement`, so feasibility checks
@@ -526,7 +418,7 @@ class MutableArrangement:
     def _rewrite_bounds(self, new_block_order: Sequence[Node]) -> Tuple[int, int]:
         """Like :meth:`_block_bounds`, additionally rejecting duplicate nodes.
 
-        Rewrite-style operations slice-assign ``new_block_order`` over the
+        Block rewrites slice-assign ``new_block_order`` over the
         block's span, so a duplicate entry would silently grow the order
         array and corrupt the arrangement instead of producing a wrong-but-
         valid permutation.
@@ -579,43 +471,13 @@ class MutableArrangement:
         _count_work("core.permutation.swaps", cost)
         return cost
 
-    def reverse_block(self, block: Iterable[Node]) -> int:
-        """Reverse a contiguous ``block`` in place; returns ``C(|block|, 2)`` swaps."""
-        block = list(block)
-        lo, hi = self._block_bounds(block)
-        segment = self._order[lo : hi + 1]
-        segment.reverse()
-        self._order[lo : hi + 1] = segment
-        self._reindex(lo, hi)
-        size = hi - lo + 1
-        cost = size * (size - 1) // 2
-        _count_work("core.permutation.reversals")
-        _count_work("core.permutation.swaps", cost)
-        return cost
-
-    def rewrite_block(self, new_block_order: Sequence[Node]) -> int:
+    def set_block_order(self, new_block_order: Sequence[Node]) -> None:
         """Replace the internal order of a contiguous block of nodes, in place.
 
-        Returns the Kendall-tau distance restricted to the block, exactly like
-        :meth:`Arrangement.rewrite_block`.
-        """
-        new_block_order = list(new_block_order)
-        lo, hi = self._rewrite_bounds(new_block_order)
-        cost = self.block_inversions(new_block_order, lo, hi)
-        index_of = self._index_of
-        self._order[lo : hi + 1] = [index_of[node] for node in new_block_order]
-        self._reindex(lo, hi)
-        _count_work("core.permutation.rewrites")
-        _count_work("core.permutation.swaps", cost)
-        return cost
-
-    def set_block_order(self, new_block_order: Sequence[Node]) -> None:
-        """Apply a block rewrite without computing its cost.
-
-        Same validation and effect as :meth:`rewrite_block`; for callers that
-        already obtained the cost from :meth:`block_inversions` (e.g. to
-        weigh the two orientations of a merged path before committing to
-        one), this skips the redundant second inversion count.
+        ``new_block_order`` must contain exactly the nodes of a contiguous
+        block; the block keeps its span.  The cost is not computed: callers
+        obtain it from :meth:`block_inversions` first (e.g. to weigh the two
+        orientations of a merged path before committing to one).
         """
         new_block_order = list(new_block_order)
         lo, hi = self._rewrite_bounds(new_block_order)
@@ -627,7 +489,7 @@ class MutableArrangement:
     def block_inversions(
         self, new_block_order: Sequence[Node], lo: int = -1, hi: int = -1
     ) -> int:
-        """The swaps :meth:`rewrite_block` *would* cost, without mutating.
+        """The swaps :meth:`set_block_order` *would* cost, without mutating.
 
         ``new_block_order`` must contain exactly the nodes of a contiguous
         block; the cost of the mirror-image rewrite is
@@ -641,28 +503,6 @@ class MutableArrangement:
         labels = self._labels
         current = [target_positions[labels[index]] for index in self._order[lo : hi + 1]]
         return count_inversions(current)
-
-    def move_block_to_index(self, block: Iterable[Node], new_leftmost_index: int) -> int:
-        """Move a contiguous ``block`` so that it starts at ``new_leftmost_index``."""
-        block = list(block)
-        lo, hi = self._block_bounds(block)
-        size = hi - lo + 1
-        if new_leftmost_index < 0 or new_leftmost_index + size > len(self._order):
-            raise ArrangementError("move_block_to_index(): target span is out of range")
-        order = self._order
-        moved = order[lo : hi + 1]
-        if new_leftmost_index < lo:
-            between = order[new_leftmost_index:lo]
-            order[new_leftmost_index : hi + 1] = moved + between
-            self._reindex(new_leftmost_index, hi)
-        elif new_leftmost_index > lo:
-            between = order[hi + 1 : new_leftmost_index + size]
-            order[lo : new_leftmost_index + size] = between + moved
-            self._reindex(lo, new_leftmost_index + size - 1)
-        cost = size * abs(new_leftmost_index - lo)
-        _count_work("core.permutation.moves")
-        _count_work("core.permutation.swaps", cost)
-        return cost
 
     def rewrite_to(self, target: Arrangement) -> int:
         """Adopt the order of ``target`` wholesale; returns the Kendall-tau distance.
@@ -699,35 +539,6 @@ class MutableArrangement:
 def kendall_tau_distance(first: Arrangement, second: Arrangement) -> int:
     """Module-level convenience wrapper around :meth:`Arrangement.kendall_tau`."""
     return first.kendall_tau(second)
-
-
-def kendall_tau_batch(
-    reference: Arrangement, others: Sequence[Arrangement]
-) -> List[int]:
-    """Kendall-tau distances of many arrangements to one reference, batched.
-
-    Equivalent to ``[reference.kendall_tau(other) for other in others]`` but
-    funnels all projections through one
-    :func:`~repro.telemetry.backends.count_inversions_batch` call, so the
-    numpy backend vectorizes the whole batch in a single pass — the win is
-    largest for many small arrangements (e.g. the final arrangements of a
-    trial batch), where one-at-a-time counting is dominated by per-call
-    overhead.
-    """
-    projections = []
-    for other in others:
-        if reference.nodes != other.nodes:
-            raise ArrangementError("Kendall-tau distance requires identical node sets")
-        projections.append([other.position(node) for node in reference.order])
-    return _backends.count_inversions_batch(projections)
-
-
-def arrangement_from_blocks(blocks: Sequence[Sequence[Node]]) -> Arrangement:
-    """Concatenate ordered blocks (left to right) into a single arrangement."""
-    order: List[Node] = []
-    for block in blocks:
-        order.extend(block)
-    return Arrangement(order)
 
 
 def random_arrangement(nodes: Iterable[Node], rng: random.Random) -> Arrangement:

@@ -1,16 +1,15 @@
 """Shared validation of ``REPRO_*`` environment overrides.
 
 The library honours a small family of environment variables —
-``REPRO_METRIC_BACKEND`` (telemetry backend selection), ``REPRO_JOBS``
-(worker-process fan-out), ``REPRO_SCENARIO`` (default workload scenario),
-``REPRO_SERVICE_BACKEND`` (thread- or process-backed shard workers) and
-``REPRO_RUNSTORE`` (run-archive location) — and every one of them
-changes *which code measured an experiment* or *where its record lands*.  A
-mis-spelt override must therefore never fall back silently: this module is
-the single place where those variables are read, so each consumer gets the
-same behaviour (unset → caller's default, invalid → a clear
-:class:`~repro.errors.ReproError` naming the variable, the offending value
-and the accepted ones).
+``REPRO_JOBS`` (worker-process fan-out), ``REPRO_SCENARIO`` (default
+workload scenario), ``REPRO_SERVICE_BACKEND`` (thread- or process-backed
+shard workers) and ``REPRO_RUNSTORE`` (run-archive location) — and every
+one of them changes *which code measured an experiment* or *where its
+record lands*.  A mis-spelt override must therefore never fall back
+silently: this module is the single place where those variables are read,
+so each consumer gets the same behaviour (unset → caller's default,
+invalid → a clear :class:`~repro.errors.ReproError` naming the variable,
+the offending value and the accepted ones).
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ from repro.core.bounds import (
 from repro.core.det import DeterministicClosestLearner
 from repro.core.instance import OnlineMinLAInstance
 from repro.core.opt import offline_optimum_bounds
-from repro.core.permutation import kendall_tau_batch, random_arrangement
+from repro.core.permutation import random_arrangement
 from repro.core.rand_cliques import MoveSmallerCliqueLearner, RandomizedCliqueLearner
 from repro.core.rand_lines import MoveSmallerLineLearner, RandomizedLineLearner
 from repro.core.simulator import run_trials
@@ -150,13 +150,10 @@ def run_e11_scenario_sweep(
                     )
                     total_cost += mean([result.total_cost for result in results])
                     total_opt += opt_upper
-                    # One batched inversion pass over all final arrangements of
-                    # the trial block (count_inversions_batch under the hood).
+                    initial = instance.initial_arrangement
                     displacements.extend(
-                        kendall_tau_batch(
-                            instance.initial_arrangement,
-                            [result.final_arrangement for result in results],
-                        )
+                        initial.kendall_tau(result.final_arrangement)
+                        for result in results
                     )
                 ratio = total_cost / max(total_opt, 1)
                 if label == "det":
@@ -221,8 +218,7 @@ def run_e11_scenario_sweep(
             "curve); a scenario's recipe can pin its own budget list via "
             "node_budgets, e.g. in .repro-scenarios.toml.",
             "The displacement column is the Kendall-tau distance between "
-            "each trial's final arrangement and the initial one, counted for "
-            "the whole trial block in a single count_inversions_batch pass.",
+            "each trial's final arrangement and the initial one.",
             *band_notes,
         ],
         traces=tuple(trace_samples),

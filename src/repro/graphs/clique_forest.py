@@ -95,19 +95,6 @@ class CliqueForest:
         """All merge events so far, in reveal order."""
         return tuple(self._history)
 
-    def laminar_family(self) -> List[FrozenSet[Node]]:
-        """Every component that ever existed (singletons, intermediates, current).
-
-        The merge process only ever joins whole components, so the family of
-        all components over time is laminar.  A permutation laying out every
-        set of this family contiguously is a MinLA of *every* revealed prefix
-        — the key fact used to construct feasible offline solutions.
-        """
-        family: List[FrozenSet[Node]] = [frozenset([node]) for node in sorted(self.nodes, key=repr)]
-        for record in self._history:
-            family.append(record.merged)
-        return family
-
     def edges(self) -> List[Tuple[Node, Node]]:
         """All edges of the currently revealed graph."""
         result: List[Tuple[Node, Node]] = []

@@ -34,16 +34,6 @@ class LineMergeRecord:
     endpoint_second: Node
     merged: Tuple[Node, ...]
 
-    @property
-    def first_nodes(self) -> FrozenSet[Node]:
-        """The node set of the first (``X_i``) component."""
-        return frozenset(self.first)
-
-    @property
-    def second_nodes(self) -> FrozenSet[Node]:
-        """The node set of the second (``Z_i``) component."""
-        return frozenset(self.second)
-
 
 class LineForest:
     """A dynamic disjoint union of simple paths supporting edge reveals.

@@ -20,14 +20,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import FrozenSet, Hashable, Iterator, List, Sequence, TYPE_CHECKING, Tuple, Union
+from typing import FrozenSet, Hashable, Iterator, List, Sequence, Tuple, Union
 
 from repro.errors import RevealError
 from repro.graphs.clique_forest import CliqueForest
 from repro.graphs.line_forest import LineForest
-
-if TYPE_CHECKING:  # pragma: no cover - networkx is imported where a graph is built
-    import networkx as nx
 
 Node = Hashable
 
@@ -166,14 +163,6 @@ class RevealSequence:
     def final_components(self) -> List[FrozenSet[Node]]:
         """The components of the fully revealed graph."""
         return self.final_forest().components()
-
-    def graph_after(self, step_count: int) -> nx.Graph:
-        """``G_{step_count}`` as a :class:`networkx.Graph`."""
-        return self.forest_after(step_count).to_networkx()
-
-    def final_graph(self) -> nx.Graph:
-        """The fully revealed graph ``G_k`` as a :class:`networkx.Graph`."""
-        return self.final_forest().to_networkx()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

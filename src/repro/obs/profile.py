@@ -4,12 +4,12 @@ Two observability surfaces for the offline engine, with opposite
 determinism contracts:
 
 **Work counters** are always-on integers counting *algorithmic* work —
-slides and reversals performed by :mod:`repro.core.permutation`, swaps
+slides and rewrites performed by :mod:`repro.core.permutation`, swaps
 charged per :class:`~repro.core.cost.CostLedger` phase, elements pushed
-through each :mod:`repro.telemetry.backends` dispatch, incremental-vs-full
+through each :mod:`repro.telemetry.backends` inversion count, incremental-vs-full
 checks in the MinLA verifier, hit/miss/evict in the vnet distance cache.
 Work is semantics, not timing: for a fixed ``(experiment, scale, seed)``
-the counters are **bit-identical** across ``--jobs``, telemetry backends,
+the counters are **bit-identical** across ``--jobs``
 and thread/process service fleets — a correctness surface gated exactly
 like costs (``runs compare`` holds counter drift to zero while timings
 keep a tolerance band).

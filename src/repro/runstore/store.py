@@ -12,8 +12,8 @@ Layout (one directory per run under the store root)::
       tmp/                          # staging area for atomic appends
 
 ``run_id`` is a prefix of the SHA-256 digest of the run's *deterministic*
-content: the configuration (experiment id, scenario, scale, seed, metric
-backend, jobs) plus the canonical JSON of its tables and traces.  Appending
+content: the configuration (experiment id, scenario, scale, seed, inversion
+counter, jobs) plus the canonical JSON of its tables and traces.  Appending
 the same run twice therefore lands on the same directory — the second
 append is detected and only contributes a new wall-clock *timing sample* to
 the manifest, which is exactly what longitudinal perf tracking wants:
@@ -94,6 +94,8 @@ class RunRecord:
     scenario: Optional[str] = None
     scale: str = "bench"
     seed: int = 0
+    #: The inversion counter that measured the run.  Only ``"python"`` is
+    #: left; the field stays because archived manifests carry it.
     backend: str = "python"
     jobs: int = 1
     wall_time_seconds: Optional[float] = None
@@ -207,23 +209,17 @@ def run_record_from_result(
     seed: int,
     jobs: int = 1,
     wall_time_seconds: Optional[float] = None,
-    backend: Optional[str] = None,
     scenario: Optional[str] = None,
     work: Optional[Dict[str, int]] = None,
     profile: Optional[ProfileSnapshot] = None,
 ) -> RunRecord:
     """Build a :class:`RunRecord` from an :class:`~repro.experiments.runner.ExperimentResult`."""
-    if backend is None:
-        from repro.telemetry import get_backend
-
-        backend = get_backend().name
     return RunRecord(
         experiment_id=result.experiment_id,
         title=result.title,
         scenario=scenario,
         scale=scale,
         seed=seed,
-        backend=backend,
         jobs=jobs,
         wall_time_seconds=wall_time_seconds,
         tables=tuple(result.tables),

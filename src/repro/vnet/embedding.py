@@ -11,7 +11,7 @@ This module is the thin translation layer between the two vocabularies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, Sequence, Tuple
+from typing import Hashable, Iterable, Sequence, Tuple
 
 from repro.core.permutation import Arrangement
 from repro.errors import EmbeddingError
@@ -38,13 +38,6 @@ class Embedding:
     # Constructors
     # ------------------------------------------------------------------
     @classmethod
-    def from_slot_map(
-        cls, datacenter: LinearDatacenter, slot_of: Dict[VirtualNode, int]
-    ) -> "Embedding":
-        """Build an embedding from an explicit ``virtual node -> slot`` mapping."""
-        return cls(datacenter, Arrangement.from_positions(dict(slot_of)))
-
-    @classmethod
     def initial(
         cls, datacenter: LinearDatacenter, virtual_nodes: Sequence[VirtualNode]
     ) -> "Embedding":
@@ -57,12 +50,6 @@ class Embedding:
     def slot_of(self, virtual_node: VirtualNode) -> int:
         """The physical slot hosting ``virtual_node``."""
         return self.arrangement.position(virtual_node)
-
-    def virtual_node_at(self, slot: int) -> VirtualNode:
-        """The virtual node hosted at ``slot``."""
-        if not 0 <= slot < self.datacenter.num_slots:
-            raise EmbeddingError(f"slot {slot} is outside the datacenter")
-        return self.arrangement[slot]
 
     def communication_cost(
         self, traffic: Iterable[Tuple[VirtualNode, VirtualNode]]

@@ -64,7 +64,9 @@ class TestAdversaryAgainstDet:
 
     def test_result_ratio_properties(self):
         result = run_line_adversary(DeterministicClosestLearner(), 11)
-        assert result.ratio_lower_estimate <= result.ratio_upper_estimate
+        assert result.ratio_lower_estimate == (
+            result.total_cost / max(result.opt_bounds.upper, 1)
+        )
         assert result.total_cost == result.ledger.total_cost
 
 

@@ -4,11 +4,7 @@ import random
 
 import pytest
 
-from repro.core.auto import (
-    AutoDeterministicLearner,
-    AutoRandomizedLearner,
-    KindDispatchingLearner,
-)
+from repro.core.auto import AutoRandomizedLearner, KindDispatchingLearner
 from repro.core.instance import OnlineMinLAInstance
 from repro.core.rand_cliques import RandomizedCliqueLearner
 from repro.core.rand_lines import RandomizedLineLearner
@@ -45,16 +41,6 @@ class TestKindDispatchingLearner:
         assert isinstance(learner.delegate, RandomizedCliqueLearner)
         run_online(learner, line_instance, rng=random.Random(2))
         assert isinstance(learner.delegate, RandomizedLineLearner)
-
-    def test_auto_det_handles_both_kinds(self):
-        rng = random.Random(3)
-        for sequence in (
-            random_clique_merge_sequence(7, rng),
-            random_line_sequence(7, rng),
-        ):
-            instance = OnlineMinLAInstance.with_random_start(sequence, rng)
-            result = run_online(AutoDeterministicLearner(), instance)
-            assert result.total_cost >= 0
 
     def test_costs_match_the_underlying_algorithm(self):
         rng = random.Random(4)

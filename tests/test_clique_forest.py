@@ -57,16 +57,16 @@ class TestCliqueForest:
         assert first == frozenset({0}) and second == frozenset({2})
         assert forest.num_components == 3
 
-    def test_history_and_laminar_family(self):
+    def test_history_records_every_merge(self):
         forest = CliqueForest(range(4))
         forest.merge(0, 1)
         forest.merge(2, 3)
         forest.merge(0, 3)
-        family = forest.laminar_family()
-        assert frozenset({0, 1}) in family
-        assert frozenset({2, 3}) in family
-        assert frozenset({0, 1, 2, 3}) in family
-        assert len(forest.history) == 3
+        assert [record.merged for record in forest.history] == [
+            frozenset({0, 1}),
+            frozenset({2, 3}),
+            frozenset({0, 1, 2, 3}),
+        ]
 
     def test_to_networkx_is_clique_union(self):
         forest = CliqueForest(range(5))

@@ -7,7 +7,7 @@ import pytest
 from repro.core.det import DeterministicClosestLearner
 from repro.core.instance import OnlineMinLAInstance
 from repro.core.opt import exact_optimal_online_cost, offline_optimum_bounds
-from repro.core.permutation import Arrangement
+from repro.core.permutation import Arrangement, MutableArrangement
 from repro.core.rand_cliques import RandomizedCliqueLearner
 from repro.core.rand_lines import RandomizedLineLearner
 from repro.core.simulator import run_online
@@ -54,9 +54,10 @@ class TestDegenerateSizes:
     def test_arrangement_of_one_node(self):
         arrangement = Arrangement(["x"])
         assert arrangement.kendall_tau(arrangement) == 0
-        reversed_arrangement, cost = arrangement.reverse_block(["x"])
-        assert cost == 0
-        assert reversed_arrangement == arrangement
+        mutable = MutableArrangement(["x"])
+        assert mutable.block_inversions(["x"]) == 0
+        mutable.set_block_order(["x"])
+        assert mutable.snapshot() == arrangement
 
     def test_forests_with_single_node(self):
         clique_forest = CliqueForest(["solo"])

@@ -45,17 +45,6 @@ class TestReadEnvPositiveInt:
 
 
 class TestConsumers:
-    def test_metric_backend_override_validated(self, monkeypatch):
-        from repro.telemetry import set_backend
-
-        monkeypatch.setenv("REPRO_METRIC_BACKEND", "pythn")
-        with pytest.raises(ReproError, match="REPRO_METRIC_BACKEND"):
-            set_backend(None)  # re-resolves from the environment
-        monkeypatch.setenv("REPRO_METRIC_BACKEND", "python")
-        assert set_backend(None).name == "python"
-        monkeypatch.delenv("REPRO_METRIC_BACKEND")
-        set_backend(None)
-
     def test_jobs_override_validated(self, monkeypatch):
         from repro.experiments.parallel import resolve_jobs
 

@@ -60,8 +60,8 @@ class TestLineForest:
         record = forest.add_edge(2, 0)
         assert record.endpoint_first == 2
         assert record.endpoint_second == 0
-        assert record.first_nodes == frozenset({2})
-        assert record.second_nodes == frozenset({0, 1})
+        assert record.first == (2,)
+        assert set(record.second) == {0, 1}
         assert record.merged in ((2, 0, 1), (1, 0, 2))
 
     def test_edges_and_networkx(self):

@@ -4,6 +4,7 @@ import networkx as nx
 import pytest
 
 from repro.errors import SolverError
+from repro.minla import heuristics
 from repro.minla.cost import linear_arrangement_cost
 from repro.minla.exact import exact_minla_value
 from repro.minla.heuristics import (
@@ -12,10 +13,9 @@ from repro.minla.heuristics import (
     local_search_refinement,
     spectral_arrangement,
 )
-from repro.telemetry import numpy_available
 
 needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="the spectral ordering requires numpy"
+    heuristics.np is None, reason="the spectral ordering requires numpy"
 )
 
 

@@ -3,9 +3,10 @@
 Two layers are covered:
 
 * :class:`~repro.core.permutation.MutableArrangement` block operations must
-  produce the same final order and the same swap count as the corresponding
-  immutable :class:`~repro.core.permutation.Arrangement` operations, on
-  seeded random block layouts;
+  produce the same final order as the immutable
+  :class:`~repro.core.permutation.Arrangement` slide or an explicitly built
+  order, at a swap count equal to the Kendall-tau distance, on seeded random
+  block layouts;
 * the fast-path online algorithms must produce step-by-step identical cost
   records, Kendall-tau distances and final arrangements as the classic
   immutable protocol (forced via a subclass overriding ``_handle_step``).
@@ -54,63 +55,26 @@ class TestBlockOperationEquivalence:
         assert mutable.snapshot() == expected
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_reverse_and_rewrite_match_immutable(self, seed):
+    def test_block_rewrite_costs_kendall_tau(self, seed):
         rng = random.Random(seed + 100)
         n = rng.randrange(3, 20)
         order = [f"v{i}" for i in range(n)]
         rng.shuffle(order)
-        immutable = Arrangement(order)
         mutable = MutableArrangement(order)
         lo = rng.randrange(n)
         hi = rng.randrange(lo, n)
-        block = [order[i] for i in range(lo, hi + 1)]
-
-        expected, expected_cost = immutable.reverse_block(block)
-        cost = mutable.reverse_block(block)
-        assert cost == expected_cost
-        assert mutable.snapshot() == expected
-
+        block = order[lo : hi + 1]
+        size = len(block)
+        assert mutable.block_inversions(block[::-1]) == size * (size - 1) // 2
         new_block = list(block)
         rng.shuffle(new_block)
-        expected2, expected_cost2 = expected.rewrite_block(new_block)
-        assert mutable.block_inversions(new_block) == expected_cost2
-        cost2 = mutable.rewrite_block(new_block)
-        assert cost2 == expected_cost2
-        assert mutable.snapshot() == expected2
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_move_block_to_index_matches_immutable(self, seed):
-        rng = random.Random(seed + 200)
-        n = rng.randrange(3, 20)
-        order = list(range(n))
-        rng.shuffle(order)
-        immutable = Arrangement(order)
-        mutable = MutableArrangement(order)
-        lo = rng.randrange(n)
-        hi = rng.randrange(lo, n)
-        block = [order[i] for i in range(lo, hi + 1)]
-        new_index = rng.randrange(n - (hi - lo))
-        expected, expected_cost = immutable.move_block_to_index(block, new_index)
-        cost = mutable.move_block_to_index(block, new_index)
-        assert cost == expected_cost
-        assert mutable.snapshot() == expected
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_set_block_order_matches_rewrite_block(self, seed):
-        rng = random.Random(seed + 400)
-        n = rng.randrange(3, 20)
-        order = list(range(n))
-        rng.shuffle(order)
-        lo = rng.randrange(n)
-        hi = rng.randrange(lo, n)
-        new_block = [order[i] for i in range(lo, hi + 1)]
-        rng.shuffle(new_block)
-        reference = MutableArrangement(order)
-        expected_cost = reference.rewrite_block(new_block)
-        mutable = MutableArrangement(order)
-        assert mutable.block_inversions(new_block) == expected_cost
+        expected = Arrangement(order[:lo] + new_block + order[hi + 1 :])
+        cost = mutable.block_inversions(new_block)
+        assert cost == Arrangement(order).kendall_tau(expected)
+        # The two orientations of a block cost all of its pairs together.
+        assert cost + mutable.block_inversions(new_block[::-1]) == size * (size - 1) // 2
         mutable.set_block_order(new_block)
-        assert mutable.snapshot() == reference.snapshot()
+        assert mutable.snapshot() == expected
 
     @pytest.mark.parametrize("seed", range(5))
     def test_rewrite_to_costs_kendall_tau(self, seed):
@@ -150,17 +114,13 @@ class TestBlockOperationEquivalence:
         with pytest.raises(ArrangementError):
             mutable.position("z")
         with pytest.raises(ArrangementError):
-            mutable.reverse_block([])
+            mutable.set_block_order([])
         with pytest.raises(ArrangementError):
-            mutable.rewrite_block(["a", "c"])  # not contiguous
+            mutable.set_block_order(["a", "c"])  # not contiguous
         with pytest.raises(ArrangementError):
             mutable.slide_block_next_to(["a", "b"], ["b", "c"])  # overlap
         with pytest.raises(ArrangementError):
-            mutable.move_block_to_index(["a", "b"], 3)  # out of range
-        with pytest.raises(ArrangementError):
             mutable.rewrite_to(Arrangement(["a", "b"]))  # node-set mismatch
-        with pytest.raises(ArrangementError):
-            mutable.rewrite_block(["a", "a", "b"])  # duplicate node
         with pytest.raises(ArrangementError):
             mutable.set_block_order(["a", "a", "b"])  # duplicate node
         with pytest.raises(ArrangementError):

@@ -19,6 +19,18 @@ from repro.graphs.reveal import CliqueRevealSequence, LineRevealSequence
 from repro.minla.characterizations import is_minla_of_forest
 
 
+def _laminar_family(forest):
+    """Every component that ever existed in ``forest`` (singletons, intermediates, current).
+
+    The merge process only ever joins whole components, so this family is
+    laminar; a permutation laying out each of its sets contiguously is a
+    MinLA of every revealed prefix.
+    """
+    family = [frozenset([node]) for node in sorted(forest.nodes, key=repr)]
+    family.extend(record.merged for record in forest.history)
+    return family
+
+
 class TestOfflineBounds:
     def test_empty_sequence_costs_nothing(self):
         sequence = CliqueRevealSequence.from_pairs(range(3), [])
@@ -96,7 +108,7 @@ class TestLaminarConsistentBlocks:
         }
         for block in blocks:
             order = list(block.nodes)
-            for historical in forest.laminar_family():
+            for historical in _laminar_family(forest):
                 if historical <= set(order) and len(historical) > 1:
                     positions = sorted(order.index(node) for node in historical)
                     assert positions[-1] - positions[0] + 1 == len(historical)

@@ -1,10 +1,12 @@
-"""Property tests for the inversion-count dispatch and its few-run fast path.
+"""Property tests for the inversion counter and its few-run fast path.
 
 :func:`repro.telemetry.backends.count_inversions` answers sequences made of
-a few consecutive runs in closed form before it reaches the active backend.
-These tests hold the dispatch to the merge-sort reference (and to the numpy
-backend when numpy is installed) on the shapes the fast path accepts, on
-shapes it must reject, and on sequences with duplicates and negatives.
+a few consecutive runs in closed form and all others with a merge sort;
+:func:`~repro.telemetry.backends.count_cross_inversions` counts the
+out-of-order pairs of two sorted groups with a two-pointer pass.  These
+tests hold both to the quadratic pair count of their definitions: on the
+shapes the fast path accepts, on shapes it must reject, and on arbitrary
+integer lists with duplicates and negatives.
 """
 
 from hypothesis import given, settings
@@ -12,21 +14,25 @@ from hypothesis import strategies as st
 
 from repro.obs.profile import work_snapshot
 from repro.telemetry.backends import (
-    MergeSortBackend,
-    NumpyBackend,
     _few_run_inversions,
+    count_cross_inversions,
     count_inversions,
-    numpy_available,
 )
 
-REFERENCE = MergeSortBackend()
+
+def _pair_count(values):
+    """Pairs ``i < j`` with ``values[i] > values[j]``, by checking every pair."""
+    return sum(
+        1
+        for i in range(len(values))
+        for j in range(i + 1, len(values))
+        if values[i] > values[j]
+    )
 
 
-def _assert_matches_backends(values):
-    expected = REFERENCE.count_inversions(values)
-    assert count_inversions(values) == expected
-    if numpy_available():
-        assert NumpyBackend().count_inversions(values) == expected
+def _cross_pair_count(left, right):
+    """Pairs ``(x, y) ∈ left × right`` with ``x > y``, by checking every pair."""
+    return sum(1 for x in left for y in right if x > y)
 
 
 @st.composite
@@ -55,29 +61,59 @@ def few_run_permutations(draw, max_parts=8):
     return [value for index in order for value in parts[index]]
 
 
-class TestCountInversionsMatchesBackends:
+class TestCountInversionsMatchesPairCount:
     @given(few_run_permutations())
     @settings(max_examples=200, deadline=None)
     def test_few_run_permutations(self, values):
         # At most eight parts means at most eight maximal runs: the closed
-        # form must answer, and agree with the backends.
+        # form must answer, and agree with the pair count.
         assert _few_run_inversions(values) is not None
-        _assert_matches_backends(values)
+        assert count_inversions(values) == _pair_count(values)
 
     @given(few_run_permutations(max_parts=16))
     @settings(max_examples=100, deadline=None)
     def test_many_run_permutations(self, values):
-        _assert_matches_backends(values)
+        assert count_inversions(values) == _pair_count(values)
 
     @given(st.integers(min_value=0, max_value=300).flatmap(lambda n: st.permutations(range(n))))
     @settings(max_examples=100, deadline=None)
     def test_shuffled_permutations(self, values):
-        _assert_matches_backends(values)
+        assert count_inversions(values) == _pair_count(values)
 
     @given(st.lists(st.integers(min_value=-4, max_value=4), max_size=300))
     @settings(max_examples=200, deadline=None)
     def test_small_integers_with_duplicates_and_negatives(self, values):
-        _assert_matches_backends(values)
+        assert count_inversions(values) == _pair_count(values)
+
+    @given(st.lists(st.integers(min_value=-10**6, max_value=10**6), max_size=300))
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_integer_lists(self, values):
+        assert count_inversions(values) == _pair_count(values)
+
+    @given(st.lists(st.integers(min_value=-50, max_value=50), max_size=300))
+    @settings(max_examples=100, deadline=None)
+    def test_tuples_count_like_lists(self, values):
+        assert count_inversions(tuple(values)) == _pair_count(values)
+
+
+class TestCountCrossInversionsMatchesPairCount:
+    @given(
+        st.lists(st.integers(min_value=-20, max_value=20), max_size=150),
+        st.lists(st.integers(min_value=-20, max_value=20), max_size=150),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_groups_with_shared_values(self, left, right):
+        left, right = sorted(left), sorted(right)
+        assert count_cross_inversions(left, right) == _cross_pair_count(left, right)
+
+    @given(
+        st.lists(st.integers(min_value=-10**6, max_value=10**6), max_size=150),
+        st.lists(st.integers(min_value=-10**6, max_value=10**6), max_size=150),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_arbitrary_groups(self, left, right):
+        left, right = sorted(left), sorted(right)
+        assert count_cross_inversions(left, right) == _cross_pair_count(left, right)
 
 
 class TestFastPathKeepsCounters:
@@ -85,7 +121,7 @@ class TestFastPathKeepsCounters:
         values = list(range(10, 20)) + list(range(9, -1, -1))
         assert _few_run_inversions(values) is not None
         before = work_snapshot()
-        assert count_inversions(values) == REFERENCE.count_inversions(values)
+        assert count_inversions(values) == _pair_count(values)
         after = work_snapshot()
         assert after["telemetry.backends.calls"] - before.get("telemetry.backends.calls", 0) == 1
         assert (

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.pairs import disagreement_pairs
-from repro.core.permutation import Arrangement, count_inversions
+from repro.core.permutation import Arrangement, MutableArrangement, count_inversions
 
 
 @st.composite
@@ -119,38 +119,21 @@ class TestBlockOperationProperties:
         assert moved.is_contiguous(set(block) | set(target))
 
     @given(
-        st.integers(min_value=1, max_value=10),
-        st.integers(min_value=0, max_value=10_000),
-        st.data(),
-    )
-    @settings(max_examples=120, deadline=None)
-    def test_reverse_block_cost_is_binomial(self, n, seed, data):
-        order = list(range(n))
-        random.Random(seed).shuffle(order)
-        arrangement = Arrangement(order)
-        start = data.draw(st.integers(min_value=0, max_value=n - 1))
-        end = data.draw(st.integers(min_value=start, max_value=n - 1))
-        block = order[start : end + 1]
-        reversed_arrangement, cost = arrangement.reverse_block(block)
-        size = end - start + 1
-        assert cost == size * (size - 1) // 2
-        assert cost == arrangement.kendall_tau(reversed_arrangement)
-
-    @given(
         st.integers(min_value=1, max_value=9),
         st.integers(min_value=0, max_value=10_000),
         st.integers(min_value=0, max_value=10_000),
         st.data(),
     )
     @settings(max_examples=120, deadline=None)
-    def test_rewrite_block_cost_equals_kendall_tau(self, n, seed, block_seed, data):
+    def test_block_rewrite_cost_equals_kendall_tau(self, n, seed, block_seed, data):
         order = list(range(n))
         random.Random(seed).shuffle(order)
-        arrangement = Arrangement(order)
+        arrangement = MutableArrangement(order)
         start = data.draw(st.integers(min_value=0, max_value=n - 1))
         end = data.draw(st.integers(min_value=start, max_value=n - 1))
-        block = order[start : end + 1]
-        new_block = list(block)
+        new_block = order[start : end + 1]
         random.Random(block_seed).shuffle(new_block)
-        rewritten, cost = arrangement.rewrite_block(new_block)
-        assert cost == arrangement.kendall_tau(rewritten)
+        cost = arrangement.block_inversions(new_block)
+        arrangement.set_block_order(new_block)
+        assert cost == Arrangement(order).kendall_tau(arrangement.snapshot())
+        assert arrangement.snapshot().order == tuple(order[:start] + new_block + order[end + 1 :])

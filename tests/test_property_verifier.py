@@ -7,7 +7,7 @@ order) and the Kendall-tau measurement never look outside it, and a rotated
 window settles guard 2 by its two halves.  These tests hold the windowed
 verifier to :class:`FullOrderVerifier`, a reference that shares none of
 that machinery — label lists, guard 2 over the full filtered lists, Kendall
-tau by merge sort — on random Rand runs, on randomly corrupted
+tau by a quadratic pair count — on random Rand runs, on randomly corrupted
 arrangements, on rotation-shaped corruptions, on arrangements interned in
 another label order, and on illegal moves injected into a run through
 :func:`~repro.core.simulator.run_online`.
@@ -34,11 +34,18 @@ from repro.graphs.line_forest import LineForest
 from repro.graphs.reveal import RevealStep
 from repro.minla.characterizations import IncrementalStepVerifier, is_minla_of_forest
 from repro.obs.profile import count_work, work_snapshot
-from repro.telemetry.backends import MergeSortBackend
-
-REFERENCE = MergeSortBackend()
 
 UNIVERSE_CHANGED = "the node universe changed during an update"
+
+
+def _pair_count(values):
+    """Pairs ``i < j`` with ``values[i] > values[j]``, by checking every pair."""
+    return sum(
+        1
+        for i in range(len(values))
+        for j in range(i + 1, len(values))
+        if values[i] > values[j]
+    )
 
 KINDS = {
     "cliques": (random_clique_merge_sequence, RandomizedCliqueLearner),
@@ -54,7 +61,7 @@ class FullOrderVerifier:
     incremental check when they pass and as a full check (followed by
     :func:`is_minla_of_forest`) when they do not.  Guard 2 compares the
     untouched nodes of the whole previous and current orders, and Kendall
-    tau is a merge-sort inversion count over the whole order.
+    tau is a quadratic pair count over the whole order.
     """
 
     def __init__(self, forest, initial_order):
@@ -72,7 +79,7 @@ class FullOrderVerifier:
         position = {node: index for index, node in enumerate(order)}
         if len(order) != len(previous) or set(position) != set(previous):
             raise ArrangementError(UNIVERSE_CHANGED)
-        kendall_tau = REFERENCE.count_inversions([position[node] for node in previous])
+        kendall_tau = _pair_count([position[node] for node in previous])
         positions = [position[node] for node in merged]
         lo, hi = min(positions), max(positions)
         merged_ok = hi - lo + 1 == len(positions)

@@ -56,13 +56,6 @@ class TestCliqueRevealSequence:
         assert len(prefix) == 2
         assert len(prefix.final_components()) == 2
 
-    def test_graph_after(self):
-        sequence = CliqueRevealSequence.from_pairs(range(4), [(0, 1), (0, 2)])
-        graph = sequence.graph_after(2)
-        assert graph.number_of_edges() == 3
-        final_graph = sequence.final_graph()
-        assert final_graph.number_of_edges() == 3
-
     def test_replay_shares_forest(self):
         sequence = CliqueRevealSequence.from_pairs(range(3), [(0, 1), (0, 2)])
         seen = [forest.num_components for _, forest in sequence.replay()]

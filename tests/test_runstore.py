@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.errors import RunStoreError
-from repro.experiments.runner import ExperimentScale
+from repro.experiments.runner import ExperimentResult, ExperimentScale
 from repro.experiments.suite import run_all
 from repro.experiments.tables import ResultTable
 from repro.runstore import (
@@ -18,7 +18,7 @@ from repro.runstore import (
     harmonic_slope_bands,
     store_report,
 )
-from repro.runstore.store import resolve_store_root
+from repro.runstore.store import resolve_store_root, run_record_from_result
 from repro.telemetry.trace import TraceRecorder, TraceSample
 
 
@@ -195,6 +195,17 @@ class TestSuiteIntegration:
         stored = store.list_runs("E2")[0]
         assert stored.trace_samples == tuple(results[0].traces)
         assert len(stored.timings) == 1 and stored.timings[0] > 0
+
+    def test_records_name_the_python_inversion_counter(self):
+        result = ExperimentResult(
+            experiment_id="E2",
+            title="demo run",
+            paper_claim="",
+            tables=(ResultTable(title="demo", columns=["n"], rows=[[8]]),),
+        )
+        record = run_record_from_result(result, scale="smoke", seed=0)
+        assert record.backend == "python"
+        assert record.config()["backend"] == "python"
 
     def test_store_report_renders_bands_once_enough_seeds(self, tmp_path):
         store = RunStore(tmp_path / "store")

@@ -1,11 +1,8 @@
-"""Tests for the telemetry subsystem: backends, traces, serialization.
+"""Tests for the telemetry subsystem: the inversion counter, traces, serialization.
 
 Covers the contract the rest of the library relies on:
 
-* the numpy and pure-Python inversion backends are bit-identical on random,
-  sorted, reversed and duplicate-free permutations up to n=512,
-* backend selection honours ``REPRO_METRIC_BACKEND`` and rejects unknown
-  names,
+* the inversion counter matches the quadratic pair-count definition,
 * a :class:`TraceRecorder`'s totals always equal the
   :class:`~repro.core.cost.CostLedger` totals of the same run, for every
   downsampling stride,
@@ -26,32 +23,11 @@ from repro.errors import ReproError
 from repro.graphs.generators import random_clique_merge_sequence, random_line_sequence
 from repro.io import result_from_dict, result_to_dict, trace_from_dict, trace_to_dict
 from repro.telemetry import (
-    BACKEND_ENV_VAR,
-    MergeSortBackend,
     TraceRecorder,
-    available_backends,
+    count_cross_inversions,
+    count_inversions,
     downsample_events,
-    get_backend,
-    numpy_available,
-    set_backend,
 )
-from repro.telemetry import backends as backends_module
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy is not installed"
-)
-
-
-@pytest.fixture
-def restore_backend():
-    """Reset the lazily resolved backend after a test that switches it.
-
-    Clears the cache without resolving (resolution would re-read an env var
-    the test may have monkeypatched to an invalid value); the next
-    ``get_backend()`` call re-resolves from the restored environment.
-    """
-    yield
-    backends_module._active = None
 
 
 def _quadratic_count(values):
@@ -63,128 +39,26 @@ def _quadratic_count(values):
     )
 
 
-class TestMergeSortBackend:
+class TestInversionCounter:
     def test_reference_counts(self):
-        backend = MergeSortBackend()
-        assert backend.count_inversions([]) == 0
-        assert backend.count_inversions([7]) == 0
-        assert backend.count_inversions([3, 2, 1, 0]) == 6
-        assert backend.count_inversions([2, 2, 1]) == 2
+        assert count_inversions([]) == 0
+        assert count_inversions([7]) == 0
+        assert count_inversions([3, 2, 1, 0]) == 6
+        assert count_inversions([2, 2, 1]) == 2
 
     def test_matches_quadratic_definition(self):
-        backend = MergeSortBackend()
         rng = random.Random(0)
         for _ in range(20):
             values = [rng.randrange(12) for _ in range(rng.randrange(2, 40))]
-            assert backend.count_inversions(values) == _quadratic_count(values)
+            assert count_inversions(values) == _quadratic_count(values)
 
     def test_cross_inversions_matches_quadratic(self):
-        backend = MergeSortBackend()
         rng = random.Random(1)
         for _ in range(20):
             left = sorted(rng.randrange(30) for _ in range(rng.randrange(1, 20)))
             right = sorted(rng.randrange(30) for _ in range(rng.randrange(1, 20)))
             expected = sum(1 for x in left for y in right if x > y)
-            assert backend.count_cross_inversions(left, right) == expected
-
-
-@needs_numpy
-class TestBackendEquivalence:
-    SIZES = (1, 2, 3, 17, 63, 64, 100, 128, 255, 256, 511, 512)
-
-    def _numpy_backend(self):
-        return set_backend("numpy")
-
-    def test_random_permutations(self, restore_backend):
-        numpy_backend = self._numpy_backend()
-        python_backend = MergeSortBackend()
-        rng = random.Random(2)
-        for size in self.SIZES:
-            values = list(range(size))
-            rng.shuffle(values)
-            assert numpy_backend.count_inversions(values) == (
-                python_backend.count_inversions(values)
-            ), f"mismatch on a random permutation of size {size}"
-
-    def test_sorted_and_reversed(self, restore_backend):
-        numpy_backend = self._numpy_backend()
-        for size in self.SIZES:
-            ascending = list(range(size))
-            descending = ascending[::-1]
-            assert numpy_backend.count_inversions(ascending) == 0
-            assert numpy_backend.count_inversions(descending) == size * (size - 1) // 2
-
-    def test_duplicates(self, restore_backend):
-        numpy_backend = self._numpy_backend()
-        python_backend = MergeSortBackend()
-        rng = random.Random(3)
-        for size in self.SIZES:
-            values = [rng.randrange(max(size // 4, 1)) for _ in range(size)]
-            assert numpy_backend.count_inversions(values) == (
-                python_backend.count_inversions(values)
-            ), f"mismatch on a duplicate-heavy sequence of size {size}"
-
-    def test_cross_inversions_equivalence(self, restore_backend):
-        numpy_backend = self._numpy_backend()
-        python_backend = MergeSortBackend()
-        rng = random.Random(4)
-        for size in (1, 5, 64, 200, 512):
-            left = sorted(rng.randrange(1000) for _ in range(size))
-            right = sorted(rng.randrange(1000) for _ in range(size))
-            assert numpy_backend.count_cross_inversions(left, right) == (
-                python_backend.count_cross_inversions(left, right)
-            )
-
-    def test_kendall_tau_is_backend_independent(self, restore_backend):
-        from repro.core.permutation import Arrangement
-
-        rng = random.Random(5)
-        order = list(range(300))
-        rng.shuffle(order)
-        first = Arrangement(range(300))
-        second = Arrangement(order)
-        set_backend("python")
-        python_distance = first.kendall_tau(second)
-        set_backend("numpy")
-        assert first.kendall_tau(second) == python_distance
-
-
-class TestBackendSelection:
-    def test_python_backend_always_available(self):
-        assert available_backends()["python"] is True
-
-    def test_env_var_selects_backend(self, monkeypatch, restore_backend):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "python")
-        backend = set_backend(None)
-        assert backend.name == "python"
-
-    def test_auto_resolution(self, monkeypatch, restore_backend):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        backend = set_backend(None)
-        expected = "numpy" if numpy_available() else "python"
-        assert backend.name == expected
-        assert get_backend() is backend
-
-    def test_unknown_backend_rejected(self, monkeypatch, restore_backend):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "fortran")
-        with pytest.raises(ReproError):
-            set_backend(None)
-
-    def test_explicit_unknown_name_rejected(self, restore_backend):
-        with pytest.raises(ReproError):
-            set_backend("fortran")
-
-    @pytest.mark.skipif(numpy_available(), reason="numpy is installed")
-    def test_numpy_request_without_numpy_fails_loudly(self, restore_backend):
-        with pytest.raises(ReproError):
-            set_backend("numpy")
-
-    def test_numpy_unavailable_auto_falls_back(self, monkeypatch, restore_backend):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        monkeypatch.setattr(backends_module, "_numpy", None)
-        assert set_backend(None).name == "python"
-        with pytest.raises(ReproError):
-            set_backend("numpy")
+            assert count_cross_inversions(left, right) == expected
 
 
 class TestTraceRecorder:
@@ -446,60 +320,6 @@ class TestSharedLedgerAcrossLayers:
         assert report.migration_cost == pytest.approx(
             report.migration_ledger.total_cost * 2.0
         )
-
-
-class TestBatchCounting:
-    def test_matches_one_at_a_time_counting(self):
-        from repro.telemetry import count_inversions, count_inversions_batch
-
-        rng = random.Random(0)
-        batch = [
-            [rng.randrange(100) for _ in range(rng.randrange(0, 40))]
-            for _ in range(50)
-        ]
-        batch += [[], [3], list(range(20)), list(range(20))[::-1]]
-        assert count_inversions_batch(batch) == [
-            count_inversions(values) for values in batch
-        ]
-
-    def test_backends_agree_on_batches(self):
-        from repro.telemetry import MergeSortBackend, numpy_available
-
-        rng = random.Random(1)
-        batch = [[rng.randrange(1000) for _ in range(48)] for _ in range(64)]
-        python_counts = MergeSortBackend().count_inversions_batch(batch)
-        if numpy_available():
-            from repro.telemetry import NumpyBackend
-
-            assert NumpyBackend().count_inversions_batch(batch) == python_counts
-        assert python_counts == [
-            MergeSortBackend().count_inversions(values) for values in batch
-        ]
-
-    def test_empty_batch(self):
-        from repro.telemetry import count_inversions_batch
-
-        assert count_inversions_batch([]) == []
-
-    def test_kendall_tau_batch_matches_pairwise(self):
-        from repro.core.permutation import Arrangement, kendall_tau_batch
-
-        reference = Arrangement(range(30))
-        others = []
-        for seed in range(10):
-            order = list(range(30))
-            random.Random(seed).shuffle(order)
-            others.append(Arrangement(order))
-        assert kendall_tau_batch(reference, others) == [
-            reference.kendall_tau(other) for other in others
-        ]
-
-    def test_kendall_tau_batch_rejects_mismatched_nodes(self):
-        from repro.core.permutation import Arrangement, kendall_tau_batch
-        from repro.errors import ArrangementError
-
-        with pytest.raises(ArrangementError):
-            kendall_tau_batch(Arrangement(range(3)), [Arrangement(range(4))])
 
 
 class TestPhaseRegression:
