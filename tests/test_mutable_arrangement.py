@@ -90,6 +90,47 @@ class TestBlockOperationEquivalence:
         assert cost == Arrangement(order).kendall_tau(target)
         assert mutable.snapshot() == target
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_operation_chain_keeps_positions_consistent(self, seed):
+        # The in-place operations reindex only the span they touch; a chain
+        # of them must leave ``position`` in step with the order throughout.
+        rng = random.Random(seed + 500)
+        n = rng.randrange(4, 24)
+        order = list(range(n))
+        rng.shuffle(order)
+        mutable = MutableArrangement(order)
+        previous = mutable.snapshot()
+        for _ in range(12):
+            current = list(mutable)
+            kind = rng.randrange(3)
+            if kind == 0:
+                (a_lo, a_hi), (b_lo, b_hi) = _random_disjoint_spans(rng, n)
+                expected, cost = previous.slide_block_next_to(
+                    current[a_lo:a_hi], current[b_lo:b_hi]
+                )
+                assert mutable.slide_block_next_to(
+                    current[a_lo:a_hi], current[b_lo:b_hi]
+                ) == cost
+            elif kind == 1:
+                lo = rng.randrange(n)
+                hi = rng.randrange(lo, n)
+                new_block = current[lo : hi + 1]
+                rng.shuffle(new_block)
+                expected = Arrangement(current[:lo] + new_block + current[hi + 1 :])
+                cost = mutable.block_inversions(new_block)
+                mutable.set_block_order(new_block)
+            else:
+                target_order = list(current)
+                rng.shuffle(target_order)
+                expected = Arrangement(target_order)
+                cost = mutable.rewrite_to(expected)
+            after = mutable.snapshot()
+            assert after == expected
+            assert cost == previous.kendall_tau(after)
+            for index, node in enumerate(mutable):
+                assert mutable.position(node) == index
+            previous = after
+
     def test_query_surface_matches_immutable(self):
         order = ["a", "b", "c", "d", "e"]
         immutable = Arrangement(order)

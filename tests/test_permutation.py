@@ -9,6 +9,7 @@ from repro.core.permutation import (
     random_arrangement,
 )
 from repro.errors import ArrangementError
+from repro.telemetry import count_cross_inversions
 
 
 class TestCountInversions:
@@ -148,6 +149,18 @@ class TestKendallTau:
     def test_different_node_sets_rejected(self):
         with pytest.raises(ArrangementError):
             Arrangement([1, 2]).kendall_tau(Arrangement([1, 3]))
+
+    def test_cross_inversions_between_groups(self):
+        arrangement = Arrangement(["a", "x", "b", "y", "c"])
+        left = sorted(arrangement.positions_of(["a", "b", "c"]))
+        right = sorted(arrangement.positions_of(["x", "y"]))
+        # Pairs (l, r) with the left-group node l to the right of the
+        # right-group node r: a contributes 0, b is after x (1), c is after
+        # both x and y (2) -- three inverted pairs in total.
+        assert count_cross_inversions(left, right) == 3
+        # Placing the left group first costs exactly these swaps.
+        grouped = Arrangement(["a", "b", "c", "x", "y"])
+        assert arrangement.kendall_tau(grouped) == 3
 
 
 class TestElementaryMoves:

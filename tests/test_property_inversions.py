@@ -9,6 +9,7 @@ shapes the fast path accepts, on shapes it must reject, and on arbitrary
 integer lists with duplicates and negatives.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -114,6 +115,62 @@ class TestCountCrossInversionsMatchesPairCount:
     def test_arbitrary_groups(self, left, right):
         left, right = sorted(left), sorted(right)
         assert count_cross_inversions(left, right) == _cross_pair_count(left, right)
+
+
+class TestConcatenation:
+    @given(
+        st.lists(st.integers(min_value=-30, max_value=30), max_size=150),
+        st.lists(st.integers(min_value=-30, max_value=30), max_size=150),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_inversions_split_across_a_cut(self, left, right):
+        # Every inverted pair of ``left + right`` lies inside ``left``, inside
+        # ``right``, or straddles the cut; the straddling ones are exactly the
+        # cross inversions of the two sorted halves.
+        assert count_inversions(left + right) == (
+            count_inversions(left)
+            + count_inversions(right)
+            + count_cross_inversions(sorted(left), sorted(right))
+        )
+
+
+#: ``(values, answered)``: whether the closed form must answer ``values``.
+FEW_RUN_BOUNDARIES = {
+    "empty": ([], True),
+    "single": ([7], True),
+    "eight_single_element_runs": ([14, 12, 10, 8, 0, 2, 4, 6], True),
+    "nine_single_element_runs": ([16, 12, 8, 4, 0, 2, 6, 10, 14], False),
+    "eight_pairs_in_descending_blocks": (
+        [v for k in range(7, -1, -1) for v in (2 * k, 2 * k + 1)],
+        True,
+    ),
+    "nine_pairs_in_descending_blocks": (
+        [v for k in range(8, -1, -1) for v in (2 * k, 2 * k + 1)],
+        False,
+    ),
+    "block_slid_right": ([3, 4, 5, 0, 1, 2, 6, 7], True),
+    "block_slid_right_and_flipped": ([3, 4, 5, 2, 1, 0, 6, 7], True),
+    "long_descending_run": (list(range(99, -1, -1)), True),
+    "overlapping_ascending_runs": ([5, 6, 7, 0, 1, 2, 6, 7], False),
+    "peak_shape": ([0, 1, 2, 3, 2, 1, 0], False),
+    "repeated_value": ([1, 1, 0], False),
+    "float_steps_end_runs": ([2.0, 1.0, 0.0], True),
+}
+
+
+class TestFewRunBoundaries:
+    @pytest.mark.parametrize(
+        "values, answered",
+        list(FEW_RUN_BOUNDARIES.values()),
+        ids=list(FEW_RUN_BOUNDARIES),
+    )
+    def test_closed_form_answers_or_falls_through(self, values, answered):
+        few_run = _few_run_inversions(values)
+        if answered:
+            assert few_run == _pair_count(values)
+        else:
+            assert few_run is None
+        assert count_inversions(values) == _pair_count(values)
 
 
 class TestFastPathKeepsCounters:

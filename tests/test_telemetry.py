@@ -60,6 +60,61 @@ class TestInversionCounter:
             expected = sum(1 for x in left for y in right if x > y)
             assert count_cross_inversions(left, right) == expected
 
+    # Sizes on both sides of the powers of two at which the few-run path's
+    # galloping probe doubles and halves.
+    SIZES = (1, 2, 3, 17, 63, 64, 100, 128, 255, 256, 511, 512)
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_sorted_and_reversed(self, size):
+        ascending = list(range(size))
+        assert count_inversions(ascending) == 0
+        assert count_inversions(ascending[::-1]) == size * (size - 1) // 2
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_random_permutations(self, size):
+        rng = random.Random(size)
+        values = list(range(size))
+        rng.shuffle(values)
+        assert count_inversions(values) == _quadratic_count(values)
+
+    def test_duplicates(self):
+        rng = random.Random(3)
+        for size in self.SIZES:
+            values = [rng.randrange(max(size // 4, 1)) for _ in range(size)]
+            assert count_inversions(values) == _quadratic_count(values), (
+                f"mismatch on a duplicate-heavy sequence of size {size}"
+            )
+
+    def test_cross_inversions_with_ties_and_empty_groups(self):
+        assert count_cross_inversions([], [1, 2]) == 0
+        assert count_cross_inversions([1, 2], []) == 0
+        # Equal values are not inverted: only 3 > 2 and 3 > 2 count.
+        assert count_cross_inversions([2, 3], [2, 2]) == 2
+        rng = random.Random(4)
+        for size in (1, 5, 64, 200, 512):
+            left = sorted(rng.randrange(1000) for _ in range(size))
+            right = sorted(rng.randrange(1000) for _ in range(size))
+            expected = sum(1 for x in left for y in right if x > y)
+            assert count_cross_inversions(left, right) == expected
+
+    def test_kendall_tau_counts_the_discordant_node_pairs(self):
+        from repro.core.permutation import Arrangement, MutableArrangement
+
+        rng = random.Random(5)
+        order = list(range(300))
+        rng.shuffle(order)
+        first = Arrangement(range(300))
+        second = Arrangement(order)
+        discordant = sum(
+            1
+            for a in range(300)
+            for b in range(a + 1, 300)
+            if second.position(a) > second.position(b)
+        )
+        assert first.kendall_tau(second) == discordant
+        assert second.kendall_tau(first) == discordant
+        assert MutableArrangement(range(300)).kendall_tau(second) == discordant
+
 
 class TestTraceRecorder:
     def _run(self, trace_every, seed=0):
