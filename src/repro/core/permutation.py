@@ -230,8 +230,11 @@ class Arrangement:
         if not block:
             raise ArrangementError("block operations require a non-empty block")
         lo, hi = self.span(block)
-        if hi - lo + 1 != len(set(block)):
+        distinct = len(set(block))
+        if hi - lo + 1 != distinct:
             raise ArrangementError("block operations require the block to be contiguous")
+        if distinct != len(block):
+            raise ArrangementError(f"duplicate node in block {block!r}")
         return lo, hi
 
     def slide_block_next_to(
@@ -254,10 +257,6 @@ class Arrangement:
             and equals the Kendall-tau distance between the old and the new
             arrangements.
         """
-        block = list(block)
-        target = list(target)
-        if set(block) & set(target):
-            raise ArrangementError("slide_block_next_to() requires disjoint block and target")
         b_lo, b_hi = self._block_bounds(block)
         t_lo, t_hi = self._block_bounds(target)
         order = list(self._order)
@@ -272,8 +271,9 @@ class Arrangement:
             moved = order[b_lo : b_hi + 1]
             new_order = order[: t_hi + 1] + moved + between + order[b_hi + 1 :]
         else:
-            raise ArrangementError("block and target overlap in positions")
-        cost = len(block) * len(between)
+            # Each block fills its span, so overlapping spans share a node.
+            raise ArrangementError("slide_block_next_to() requires disjoint block and target")
+        cost = len(moved) * len(between)
         _count_work("core.permutation.slides")
         _count_work("core.permutation.swaps", cost)
         return Arrangement(new_order), cost
@@ -406,28 +406,24 @@ class MutableArrangement:
             raise ArrangementError("is_contiguous() of an empty node set is undefined")
         return max(positions) - min(positions) + 1 == len(positions)
 
-    def _block_bounds(self, block: Sequence[Node]) -> Tuple[int, int]:
-        """Validate that ``block`` is contiguous and return its (lo, hi) span."""
-        if not block:
-            raise ArrangementError("block operations require a non-empty block")
-        lo, hi = self.span(block)
-        if hi - lo + 1 != len(set(block)):
-            raise ArrangementError("block operations require the block to be contiguous")
-        return lo, hi
+    def _block_bounds(self, block: Iterable[Node]) -> Tuple[int, int]:
+        """Validate a block to move and return its ``(lo, hi)`` span.
 
-    def _rewrite_bounds(self, new_block_order: Sequence[Node]) -> Tuple[int, int]:
-        """Like :meth:`_block_bounds`, additionally rejecting duplicate nodes.
-
-        Block rewrites slice-assign ``new_block_order`` over the
-        block's span, so a duplicate entry would silently grow the order
-        array and corrupt the arrangement instead of producing a wrong-but-
-        valid permutation.
+        Reads each node's position once.  ``block`` must be non-empty,
+        contiguous and free of repeated nodes; a ``set`` or ``frozenset``
+        (what the online algorithms pass) cannot repeat one, so only other
+        iterables pay for the distinctness test.
         """
-        lo, hi = self._block_bounds(new_block_order)
-        if hi - lo + 1 != len(new_block_order):
-            raise ArrangementError(
-                f"duplicate node in block order {new_block_order!r}"
-            )
+        positions = self.positions_of(block)
+        if not positions:
+            raise ArrangementError("block operations require a non-empty block")
+        lo, hi = min(positions), max(positions)
+        if hi - lo + 1 != len(positions) or not isinstance(block, (set, frozenset)):
+            distinct = len(set(positions))
+            if hi - lo + 1 != distinct:
+                raise ArrangementError("block operations require the block to be contiguous")
+            if distinct != len(positions):
+                raise ArrangementError(f"duplicate node in block {block!r}")
         return lo, hi
 
     # ------------------------------------------------------------------
@@ -443,12 +439,10 @@ class MutableArrangement:
         """Slide the contiguous ``block`` until it touches the contiguous ``target``.
 
         In-place counterpart of :meth:`Arrangement.slide_block_next_to`;
-        returns the number of adjacent swaps performed.
+        returns the number of adjacent swaps performed.  Each block fills its
+        span, so two blocks share a node iff their spans overlap: the node
+        sets are never intersected.
         """
-        block = list(block)
-        target = list(target)
-        if set(block) & set(target):
-            raise ArrangementError("slide_block_next_to() requires disjoint block and target")
         b_lo, b_hi = self._block_bounds(block)
         t_lo, t_hi = self._block_bounds(target)
         order = self._order
@@ -465,8 +459,8 @@ class MutableArrangement:
             order[t_hi + 1 : b_hi + 1] = moved + between
             self._reindex(t_hi + 1, b_hi)
         else:
-            raise ArrangementError("block and target overlap in positions")
-        cost = len(block) * len(between)
+            raise ArrangementError("slide_block_next_to() requires disjoint block and target")
+        cost = len(moved) * len(between)
         _count_work("core.permutation.slides")
         _count_work("core.permutation.swaps", cost)
         return cost
@@ -475,34 +469,17 @@ class MutableArrangement:
         """Replace the internal order of a contiguous block of nodes, in place.
 
         ``new_block_order`` must contain exactly the nodes of a contiguous
-        block; the block keeps its span.  The cost is not computed: callers
-        obtain it from :meth:`block_inversions` first (e.g. to weigh the two
-        orientations of a merged path before committing to one).
+        block; the block keeps its span.  The cost is not computed: a caller
+        that knows the block's shape prices the rewrite itself (``Rand`` for
+        lines does so in closed form, see
+        :func:`repro.core.rand_lines.forward_layout_cost`).
         """
         new_block_order = list(new_block_order)
-        lo, hi = self._rewrite_bounds(new_block_order)
+        lo, hi = self._block_bounds(new_block_order)
         index_of = self._index_of
         self._order[lo : hi + 1] = [index_of[node] for node in new_block_order]
         self._reindex(lo, hi)
         _count_work("core.permutation.rewrites")
-
-    def block_inversions(
-        self, new_block_order: Sequence[Node], lo: int = -1, hi: int = -1
-    ) -> int:
-        """The swaps :meth:`set_block_order` *would* cost, without mutating.
-
-        ``new_block_order`` must contain exactly the nodes of a contiguous
-        block; the cost of the mirror-image rewrite is
-        ``C(|block|, 2) - block_inversions(...)`` since the two orientations'
-        costs always sum to the number of node pairs in the block.
-        """
-        new_block_order = list(new_block_order)
-        if lo < 0 or hi < 0:
-            lo, hi = self._rewrite_bounds(new_block_order)
-        target_positions = {node: index for index, node in enumerate(new_block_order)}
-        labels = self._labels
-        current = [target_positions[labels[index]] for index in self._order[lo : hi + 1]]
-        return count_inversions(current)
 
     def rewrite_to(self, target: Arrangement) -> int:
         """Adopt the order of ``target`` wholesale; returns the Kendall-tau distance.

@@ -33,6 +33,36 @@ from repro.graphs.reveal import GraphKind, RevealStep
 Node = Hashable
 
 
+def forward_layout_cost(
+    arrangement: MutableArrangement, merged_path: Sequence[Node], first_size: int
+) -> int:
+    """Swaps that lay ``merged_path`` out forward over the span it fills.
+
+    ``merged_path`` is two paths ``A = merged_path[:first_size]`` and
+    ``B = merged_path[first_size:]``, each contiguous and laid out in path
+    order, one orientation or the other, with the two blocks adjacent — the
+    layout right after the moving part.  Laying the union out forward keeps
+    every pair's order except the pairs inside ``A`` when ``A`` lies
+    reversed, those inside ``B`` when ``B`` lies reversed, and every
+    ``(A, B)`` pair when ``B`` lies left of ``A``.  So the first and last
+    node of each part settle the cost:
+    ``C(a,2)·[A reversed] + C(b,2)·[B reversed] + a·b·[B left of A]``.
+    """
+    a = first_size
+    b = len(merged_path) - a
+    a_first, a_last, b_first, b_last = arrangement.positions_of(
+        (merged_path[0], merged_path[a - 1], merged_path[a], merged_path[-1])
+    )
+    cost = 0
+    if a_first > a_last:
+        cost += a * (a - 1) // 2
+    if b_first > b_last:
+        cost += b * (b - 1) // 2
+    if b_first < a_first:
+        cost += a * b
+    return cost
+
+
 class RandomizedLineLearner(OnlineMinLAAlgorithm):
     """``Rand`` for lines: biased moving phase followed by biased rearranging phase.
 
@@ -75,22 +105,21 @@ class RandomizedLineLearner(OnlineMinLAAlgorithm):
         return second, first
 
     def _rearrange(
-        self, arrangement: MutableArrangement, merged_path: Sequence[Node]
+        self, arrangement: MutableArrangement, merged_path: Sequence[Node], first_size: int
     ) -> int:
         """Pick one of the two orientations of the merged path, biased by cost.
 
         The two orientations are mirror images, so their costs always sum to
         ``C(|path|, 2)``; only the chosen one is applied (in place) after the
-        forward cost is counted without mutation.
+        forward cost is read off the two parts' layout.
         """
-        forward = tuple(merged_path)
-        forward_cost = arrangement.block_inversions(forward)
-        size = len(forward)
+        forward_cost = forward_layout_cost(arrangement, merged_path, first_size)
+        size = len(merged_path)
         backward_cost = size * (size - 1) // 2 - forward_cost
         if self._rng.random() < self._forward_probability(forward_cost, backward_cost):
-            arrangement.set_block_order(forward)
+            arrangement.set_block_order(merged_path)
             return forward_cost
-        arrangement.set_block_order(tuple(reversed(forward)))
+        arrangement.set_block_order(merged_path[::-1])
         return backward_cost
 
     def _handle_step_fast(
@@ -116,7 +145,7 @@ class RandomizedLineLearner(OnlineMinLAAlgorithm):
         # phase only pairs inside the merged path, so the two swap counts are
         # over disjoint pair sets and their sum is the exact Kendall-tau
         # distance of the combined update.
-        rearranging_cost = self._rearrange(arrangement, record.merged)
+        rearranging_cost = self._rearrange(arrangement, record.merged, len(record.first))
         return moving_cost, rearranging_cost, moving_cost + rearranging_cost
 
 

@@ -42,7 +42,7 @@ from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tupl
 
 from repro.core.permutation import Arrangement, MutableArrangement
 from repro.obs.profile import count_work as _count_work
-from repro.telemetry.backends import count_inversions
+from repro.telemetry.backends import _FEW_RUNS, count_inversions, runs_inversions
 from repro.errors import ArrangementError
 from repro.graphs.clique_forest import CliqueForest
 from repro.graphs.line_forest import LineForest
@@ -146,10 +146,17 @@ class IncrementalStepVerifier:
     consists of merged nodes only — at most ``O(|merged|)`` membership
     tests, because a subset test stops at the first untouched node.
 
-    The verifier also measures each step's true Kendall-tau distance from its
-    own copy of the previous order (see :meth:`_kendall_tau_from_previous`),
-    giving the simulator a cost cross-check that is independent of whatever
-    swap counts the algorithm reports.
+    **Kendall tau from segments.**  The verifier also measures each step's
+    true Kendall-tau distance from its own copy of the previous order (see
+    :meth:`_kendall_tau_from_previous`), giving the simulator a cost
+    cross-check that is independent of whatever swap counts the algorithm
+    reports.  A rotated window costs ``|X|·|Y|``.  Any other window is first
+    split into at most eight segments that each sit in the previous window
+    as one forward or reversed stretch (:meth:`_segment_inversions`) and
+    priced in closed form; only a window of more segments, such as the
+    scattered windows of ``Det``'s wholesale rewrites, reaches the
+    inversion counter.  The segments are read off the two orders, so this
+    too trusts nothing the algorithm claims.
     """
 
     def __init__(self, forest: Forest, initial_order: Iterable[Node]):
@@ -249,9 +256,11 @@ class IncrementalStepVerifier:
         parts order-preserved, flipping exactly ``|X|·|Y|`` pairs); that case
         is recognized with two slice comparisons, costs no inversion count
         at all, and reports ``x_len = |X|`` (``-1`` for any other shape).
-        The window's ends are found with slice comparisons that narrow in
-        steps of 64, 8 and 1, so the unchanged prefix and suffix cost
-        C-level work only.
+        Other windows of at most eight forward or reversed segments, such as
+        a slide with one half flipped, are priced by
+        :meth:`_segment_inversions`; the rest are counted.  The window's ends
+        are found with slice comparisons that narrow in steps of 64, 8 and
+        1, so the unchanged prefix and suffix cost C-level work only.
         """
         previous = self._previous_order
         n = len(previous)
@@ -286,12 +295,73 @@ class IncrementalStepVerifier:
             and order[lo : lo + split] == previous[lo + x_len : hi + 1]
         ):
             return x_len * split, lo, hi, x_len
+        distance = self._segment_inversions(order, lo, hi)
+        if distance is not None:
+            return distance, lo, hi, -1
         window_position = dict(zip(order[lo : hi + 1], range(width)))
         try:
             sequence = list(map(window_position.__getitem__, previous[lo : hi + 1]))
         except KeyError:
             raise ArrangementError("the node universe changed during an update") from None
         return count_inversions(sequence), lo, hi, -1
+
+    def _segment_inversions(self, order: List[int], lo: int, hi: int) -> Optional[int]:
+        """Kendall-tau distance of the window ``[lo, hi]`` from its segments, or ``None``.
+
+        Splits the new window, left to right, into maximal segments that
+        appear in the previous window as one contiguous stretch, forward or
+        reversed.  Each segment starts where ``list.index`` finds its first
+        node in the previous window and grows by galloping slice
+        comparisons between the two orders, so ``L`` nodes cost
+        ``O(log L)`` C-level comparisons.  The segments are priced by the
+        closed form :func:`~repro.telemetry.backends.runs_inversions` over
+        their previous positions.  Returns ``None`` after
+        :data:`~repro.telemetry.backends._FEW_RUNS` segments, so a scattered
+        window (such as ``Det``'s) falls back to the inversion counter early.
+        """
+        previous = self._previous_order
+        end = hi + 1
+        runs: List[Tuple[int, int, int, bool]] = []
+        start = lo
+        while start < end:
+            if len(runs) == _FEW_RUNS:
+                return None
+            try:
+                first = previous.index(order[start], lo, end)
+            except ValueError:
+                raise ArrangementError("the node universe changed during an update") from None
+            following = order[start + 1] if start + 1 < end else None
+            if first + 1 < end and following == previous[first + 1]:
+                forward, limit = True, min(end - start, end - first)
+            elif first > lo and following == previous[first - 1]:
+                forward, limit = False, min(end - start, first - lo + 1)
+            else:
+                runs.append((first, first, 1, False))
+                start += 1
+                continue
+            # Two nodes match; double the probe while the stretch goes on,
+            # then halve it down to the stretch's exact end.
+            length, width, growing = 2, 2, True
+            while width and length < limit:
+                stop = min(length + width, limit)
+                if forward:
+                    fits = order[start + length : start + stop] == previous[
+                        first + length : first + stop
+                    ]
+                else:
+                    fits = order[start + length : start + stop] == previous[
+                        first - stop + 1 : first - length + 1
+                    ][::-1]
+                if fits:
+                    length = stop
+                    width = width * 2 if growing else width // 2
+                else:
+                    growing = False
+                    width //= 2
+            low = first if forward else first - length + 1
+            runs.append((low, low + length - 1, length, not forward))
+            start += length
+        return runs_inversions(runs)
 
     def _step_left_rest_untouched(
         self,

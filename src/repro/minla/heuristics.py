@@ -18,10 +18,11 @@ These heuristics are validated against the brute-force solver on small graphs
 in the test suite (they must be within a constant factor there and exact on
 paths/cliques), but they make no optimality claims in general.
 
-numpy is an optional dependency here (it powers only the eigendecomposition
-of the spectral ordering): without it :func:`spectral_arrangement` raises a
-clear :class:`~repro.errors.SolverError` and :func:`heuristic_minla` falls
-back to the greedy candidate alone.
+numpy is an optional dependency here, imported only when the spectral
+ordering runs (it powers only its eigendecomposition): without it
+:func:`spectral_arrangement` raises a clear
+:class:`~repro.errors.SolverError` and :func:`heuristic_minla` falls back
+to the greedy candidate alone.
 """
 
 from __future__ import annotations
@@ -35,12 +36,20 @@ from repro.minla.cost import linear_arrangement_cost
 if TYPE_CHECKING:  # pragma: no cover - networkx is imported where a graph is built
     import networkx as nx
 
-try:  # pragma: no cover - exercised via the CI matrix leg without numpy
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised via the CI matrix leg
-    np = None
-
 Node = Hashable
+
+
+def _numpy():
+    """numpy, imported on first use, or ``None`` when it is not installed.
+
+    Only the spectral ordering needs numpy, so importing this module (and
+    with it every ``repro.minla`` import) does not load it.
+    """
+    try:
+        import numpy
+    except ImportError:  # pragma: no cover - exercised via the CI matrix leg
+        return None
+    return numpy
 
 
 def spectral_arrangement(graph: nx.Graph) -> Arrangement:
@@ -51,6 +60,7 @@ def spectral_arrangement(graph: nx.Graph) -> Arrangement:
     last.  Ties in the eigenvector are broken by node representation to keep
     the result deterministic.  Requires the optional numpy dependency.
     """
+    np = _numpy()
     if np is None:
         raise SolverError(
             "spectral_arrangement() requires numpy, which is not installed; "
@@ -144,7 +154,7 @@ def heuristic_minla(
     heuristic (refined by local search) competes alone.
     """
     candidates = [greedy_insertion_arrangement(graph)]
-    if np is not None:
+    if _numpy() is not None:
         candidates.insert(0, spectral_arrangement(graph))
     if refine:
         candidates = [

@@ -10,11 +10,13 @@ in pure Python with no dependencies:
 * :func:`count_inversions` answers a sequence of a few consecutive runs
   (the shapes a block slide plus an orientation flip produces) in closed
   form, and any other sequence with an ``O(n log n)`` merge sort;
+* :func:`runs_inversions` is that closed form on its own, for callers that
+  already know the runs (the incremental verifier's window segments);
 * :func:`count_cross_inversions` counts the pairs of two sorted groups that
   are out of order with a two-pointer pass.
 
-Both bump the ``telemetry.backends.calls`` / ``.elements`` work counters
-once per call.
+The two counters bump the ``telemetry.backends.calls`` / ``.elements``
+work counters once per call; :func:`runs_inversions` counts no work.
 """
 
 from __future__ import annotations
@@ -51,16 +53,35 @@ def _run_end(values: List[int], start: int, step: int) -> int:
     return end
 
 
+def runs_inversions(runs: Sequence[Tuple[int, int, int, bool]]) -> Optional[int]:
+    """Inversions of a concatenation of monotone runs, or ``None``.
+
+    Each run is ``(low, high, length, descending)``: ``length`` consecutive
+    values covering ``low..high`` in ascending or descending order.  A
+    descending run holds ``length·(length-1)/2`` inversions, and a pair of
+    runs adds the product of their lengths when the later run's range lies
+    below the earlier one's.  Two runs whose ranges overlap return ``None``.
+    """
+    inversions = 0
+    for index, (low, high, length, descending) in enumerate(runs):
+        if descending:
+            inversions += length * (length - 1) // 2
+        for later_low, later_high, later_length, _ in runs[index + 1 :]:
+            if later_high < low:
+                inversions += length * later_length
+            elif later_low <= high:
+                return None
+    return inversions
+
+
 def _few_run_inversions(values: List[int]) -> Optional[int]:
     """Exact inversion count of a few-run sequence, or ``None``.
 
     Handles sequences that split into at most :data:`_FEW_RUNS` maximal runs
     of ``+1`` or ``-1`` steps whose value ranges are pairwise disjoint — the
-    shapes a block slide plus an orientation flip produces.  A descending
-    run of length ``L`` holds ``L(L-1)/2`` inversions, and a pair of runs
-    adds the product of their lengths when the later run's range is lower.
-    Anything else returns ``None`` once it has seen more than
-    :data:`_FEW_RUNS` runs or two overlapping ones.
+    shapes a block slide plus an orientation flip produces — and prices them
+    with :func:`runs_inversions`.  Anything else returns ``None`` once it
+    has seen more than :data:`_FEW_RUNS` runs or two overlapping ones.
     """
     runs: List[Tuple[int, int, int, bool]] = []
     n = len(values)
@@ -79,16 +100,7 @@ def _few_run_inversions(values: List[int]) -> Optional[int]:
         low, high = (last, first) if descending else (first, last)
         runs.append((low, high, end - start, descending))
         start = end
-    inversions = 0
-    for index, (low, high, length, descending) in enumerate(runs):
-        if descending:
-            inversions += length * (length - 1) // 2
-        for later_low, later_high, later_length, _ in runs[index + 1 :]:
-            if later_high < low:
-                inversions += length * later_length
-            elif later_low <= high:
-                return None
-    return inversions
+    return runs_inversions(runs)
 
 
 def _merge_sort_count(values: List[int]) -> Tuple[List[int], int]:

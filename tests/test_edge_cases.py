@@ -9,7 +9,7 @@ from repro.core.instance import OnlineMinLAInstance
 from repro.core.opt import exact_optimal_online_cost, offline_optimum_bounds
 from repro.core.permutation import Arrangement, MutableArrangement
 from repro.core.rand_cliques import RandomizedCliqueLearner
-from repro.core.rand_lines import RandomizedLineLearner
+from repro.core.rand_lines import RandomizedLineLearner, forward_layout_cost
 from repro.core.simulator import run_online
 from repro.errors import RevealError
 from repro.graphs.clique_forest import CliqueForest
@@ -55,9 +55,16 @@ class TestDegenerateSizes:
         arrangement = Arrangement(["x"])
         assert arrangement.kendall_tau(arrangement) == 0
         mutable = MutableArrangement(["x"])
-        assert mutable.block_inversions(["x"]) == 0
         mutable.set_block_order(["x"])
         assert mutable.snapshot() == arrangement
+        assert mutable.kendall_tau(arrangement) == 0
+
+    def test_two_node_path_layout_costs(self):
+        # The smallest merged path: two one-node parts, so only their order
+        # can cost anything.
+        mutable = MutableArrangement(["x", "y"])
+        assert forward_layout_cost(mutable, ("x", "y"), 1) == 0
+        assert forward_layout_cost(mutable, ("y", "x"), 1) == 1
 
     def test_forests_with_single_node(self):
         clique_forest = CliqueForest(["solo"])

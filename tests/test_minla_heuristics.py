@@ -15,7 +15,7 @@ from repro.minla.heuristics import (
 )
 
 needs_numpy = pytest.mark.skipif(
-    heuristics.np is None, reason="the spectral ordering requires numpy"
+    heuristics._numpy() is None, reason="the spectral ordering requires numpy"
 )
 
 

@@ -6,12 +6,14 @@ Two layers are covered:
   produce the same final order as the immutable
   :class:`~repro.core.permutation.Arrangement` slide or an explicitly built
   order, at a swap count equal to the Kendall-tau distance, on seeded random
-  block layouts;
+  block layouts; a merged path's layout is priced by ``Rand``'s closed form
+  :func:`~repro.core.rand_lines.forward_layout_cost`;
 * the fast-path online algorithms must produce step-by-step identical cost
   records, Kendall-tau distances and final arrangements as the classic
   immutable protocol (forced via a subclass overriding ``_handle_step``).
 """
 
+import itertools
 import random
 
 import pytest
@@ -20,7 +22,7 @@ from repro.core.det import DeterministicClosestLearner
 from repro.core.instance import OnlineMinLAInstance
 from repro.core.permutation import Arrangement, MutableArrangement
 from repro.core.rand_cliques import RandomizedCliqueLearner
-from repro.core.rand_lines import RandomizedLineLearner
+from repro.core.rand_lines import RandomizedLineLearner, forward_layout_cost
 from repro.core.simulator import run_online
 from repro.errors import ArrangementError
 from repro.graphs.generators import random_clique_merge_sequence, random_line_sequence
@@ -33,6 +35,29 @@ def _random_disjoint_spans(rng: random.Random, n: int):
         (a_lo, a_hi), (b_lo, b_hi) = (cuts[0], cuts[1]), (cuts[2], cuts[3])
         if a_hi > a_lo and b_hi > b_lo:
             return (a_lo, a_hi), (b_lo, b_hi)
+
+
+#: Every mix of (part A laid out reversed, part B laid out reversed, B left of A).
+_PART_MIXES = list(itertools.product((False, True), repeat=3))
+
+
+def _two_part_path(rng: random.Random, order, mix):
+    """A merged path over two adjacent spans of ``order``, laid out as ``mix`` says.
+
+    Returns ``(lo, hi, merged, first_size)``: the union fills
+    ``order[lo : hi + 1]``, and ``merged`` lists part A then part B, each in
+    path order, where a reversed part's path order is its layout backwards.
+    """
+    a_reversed, b_reversed, b_left = mix
+    n = len(order)
+    lo = rng.randrange(n - 1)
+    hi = rng.randrange(lo + 1, n)
+    cut = rng.randrange(lo + 1, hi + 1)
+    left, right = order[lo:cut], order[cut : hi + 1]
+    part_a, part_b = (right, left) if b_left else (left, right)
+    path_a = part_a[::-1] if a_reversed else part_a
+    path_b = part_b[::-1] if b_reversed else part_b
+    return lo, hi, tuple(path_a + path_b), len(path_a)
 
 
 class TestBlockOperationEquivalence:
@@ -57,24 +82,25 @@ class TestBlockOperationEquivalence:
     @pytest.mark.parametrize("seed", range(10))
     def test_block_rewrite_costs_kendall_tau(self, seed):
         rng = random.Random(seed + 100)
-        n = rng.randrange(3, 20)
-        order = [f"v{i}" for i in range(n)]
-        rng.shuffle(order)
-        mutable = MutableArrangement(order)
-        lo = rng.randrange(n)
-        hi = rng.randrange(lo, n)
-        block = order[lo : hi + 1]
-        size = len(block)
-        assert mutable.block_inversions(block[::-1]) == size * (size - 1) // 2
-        new_block = list(block)
-        rng.shuffle(new_block)
-        expected = Arrangement(order[:lo] + new_block + order[hi + 1 :])
-        cost = mutable.block_inversions(new_block)
-        assert cost == Arrangement(order).kendall_tau(expected)
-        # The two orientations of a block cost all of its pairs together.
-        assert cost + mutable.block_inversions(new_block[::-1]) == size * (size - 1) // 2
-        mutable.set_block_order(new_block)
-        assert mutable.snapshot() == expected
+        for mix in _PART_MIXES:
+            n = rng.randrange(3, 20)
+            order = [f"v{i}" for i in range(n)]
+            rng.shuffle(order)
+            mutable = MutableArrangement(order)
+            lo, hi, merged, first_size = _two_part_path(rng, order, mix)
+            size = len(merged)
+            expected = Arrangement(order[:lo] + list(merged) + order[hi + 1 :])
+            cost = forward_layout_cost(mutable, merged, first_size)
+            assert cost == Arrangement(order).kendall_tau(expected)
+            # The two orientations of a block cost all of its pairs together;
+            # backwards, part B comes first.
+            backward = forward_layout_cost(mutable, merged[::-1], size - first_size)
+            assert cost + backward == size * (size - 1) // 2
+            if mix == (True, True, True):
+                # Both parts reversed and swapped: the whole span reversed.
+                assert cost == size * (size - 1) // 2
+            mutable.set_block_order(merged)
+            assert mutable.snapshot() == expected
 
     @pytest.mark.parametrize("seed", range(5))
     def test_rewrite_to_costs_kendall_tau(self, seed):
@@ -112,13 +138,11 @@ class TestBlockOperationEquivalence:
                     current[a_lo:a_hi], current[b_lo:b_hi]
                 ) == cost
             elif kind == 1:
-                lo = rng.randrange(n)
-                hi = rng.randrange(lo, n)
-                new_block = current[lo : hi + 1]
-                rng.shuffle(new_block)
-                expected = Arrangement(current[:lo] + new_block + current[hi + 1 :])
-                cost = mutable.block_inversions(new_block)
-                mutable.set_block_order(new_block)
+                mix = rng.choice(_PART_MIXES)
+                lo, hi, merged, first_size = _two_part_path(rng, current, mix)
+                expected = Arrangement(current[:lo] + list(merged) + current[hi + 1 :])
+                cost = forward_layout_cost(mutable, merged, first_size)
+                mutable.set_block_order(merged)
             else:
                 target_order = list(current)
                 rng.shuffle(target_order)
@@ -165,9 +189,20 @@ class TestBlockOperationEquivalence:
         with pytest.raises(ArrangementError):
             mutable.set_block_order(["a", "a", "b"])  # duplicate node
         with pytest.raises(ArrangementError):
-            mutable.block_inversions(["b", "b", "c"])  # duplicate node
+            mutable.slide_block_next_to(["a", "c"], ["d"])  # not contiguous
         # Failed operations must not have corrupted the state.
         assert mutable.snapshot() == Arrangement(["a", "b", "c", "d"])
+
+    def test_slide_rejects_a_repeated_node(self):
+        # ["a", "a"] spans one position; charging it as two nodes would
+        # report 6 swaps for a move of Kendall-tau distance 3.
+        mutable = MutableArrangement("abcde")
+        with pytest.raises(ArrangementError, match="duplicate node"):
+            mutable.slide_block_next_to(["a", "a"], ["e"])
+        with pytest.raises(ArrangementError, match="duplicate node"):
+            mutable.slide_block_next_to(["a"], ["e", "e"])
+        assert mutable.slide_block_next_to(["a"], ["e"]) == 3
+        assert mutable.snapshot() == Arrangement("bcdae")
 
     def test_handlerless_algorithm_subclass_fails_at_construction(self):
         from repro.core.algorithm import OnlineMinLAAlgorithm

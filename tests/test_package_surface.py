@@ -180,6 +180,20 @@ class TestLazyDependencies:
         )
         assert _run_python("-c", code).split() == ["False"]
 
+    def test_importing_repro_never_imports_numpy(self):
+        # numpy serves only the spectral MinLA heuristic, which imports it
+        # when it runs; the package and its learners must not.
+        code = textwrap.dedent(
+            """
+            import sys
+            import repro
+            import repro.core.rand_lines
+            import repro.minla
+            print("numpy" in sys.modules)
+            """
+        )
+        assert _run_python("-c", code).split() == ["False"]
+
 
 class TestPackagingMetadata:
     def test_setup_metadata_resolves_from_pyproject(self):

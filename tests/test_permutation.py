@@ -209,6 +209,15 @@ class TestBlockOperations:
         with pytest.raises(ArrangementError):
             arrangement.slide_block_next_to(["a", "b"], ["b", "c"])
 
+    def test_slide_block_rejects_a_repeated_node(self):
+        # ["a", "a"] spans one position; charging it as two nodes would
+        # report 6 swaps for a move of Kendall-tau distance 3.
+        arrangement = Arrangement("abcde")
+        with pytest.raises(ArrangementError, match="duplicate node"):
+            arrangement.slide_block_next_to(["a", "a"], ["e"])
+        with pytest.raises(ArrangementError, match="duplicate node"):
+            arrangement.slide_block_next_to(["a"], ["e", "e"])
+
     def test_empty_block_rejected(self):
         arrangement = Arrangement([0, 1, 2])
         with pytest.raises(ArrangementError):

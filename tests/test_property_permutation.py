@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.pairs import disagreement_pairs
 from repro.core.permutation import Arrangement, MutableArrangement, count_inversions
+from repro.core.rand_lines import forward_layout_cost
 
 
 @st.composite
@@ -119,21 +120,36 @@ class TestBlockOperationProperties:
         assert moved.is_contiguous(set(block) | set(target))
 
     @given(
-        st.integers(min_value=1, max_value=9),
+        st.integers(min_value=2, max_value=9),
         st.integers(min_value=0, max_value=10_000),
-        st.integers(min_value=0, max_value=10_000),
+        st.booleans(),
+        st.booleans(),
+        st.booleans(),
         st.data(),
     )
     @settings(max_examples=120, deadline=None)
-    def test_block_rewrite_cost_equals_kendall_tau(self, n, seed, block_seed, data):
+    def test_block_rewrite_cost_equals_kendall_tau(
+        self, n, seed, a_reversed, b_reversed, b_left, data
+    ):
+        # Rand's merged path: two adjacent parts, each laid out in path
+        # order one way or the other, priced by the closed form.
         order = list(range(n))
         random.Random(seed).shuffle(order)
         arrangement = MutableArrangement(order)
-        start = data.draw(st.integers(min_value=0, max_value=n - 1))
-        end = data.draw(st.integers(min_value=start, max_value=n - 1))
-        new_block = order[start : end + 1]
-        random.Random(block_seed).shuffle(new_block)
-        cost = arrangement.block_inversions(new_block)
-        arrangement.set_block_order(new_block)
+        start = data.draw(st.integers(min_value=0, max_value=n - 2))
+        end = data.draw(st.integers(min_value=start + 1, max_value=n - 1))
+        cut = data.draw(st.integers(min_value=start + 1, max_value=end))
+        left, right = order[start:cut], order[cut : end + 1]
+        part_a, part_b = (right, left) if b_left else (left, right)
+        path_a = part_a[::-1] if a_reversed else part_a
+        path_b = part_b[::-1] if b_reversed else part_b
+        merged = tuple(path_a + path_b)
+        cost = forward_layout_cost(arrangement, merged, len(path_a))
+        size = len(merged)
+        backward = forward_layout_cost(arrangement, merged[::-1], len(path_b))
+        assert cost + backward == size * (size - 1) // 2
+        arrangement.set_block_order(merged)
         assert cost == Arrangement(order).kendall_tau(arrangement.snapshot())
-        assert arrangement.snapshot().order == tuple(order[:start] + new_block + order[end + 1 :])
+        assert arrangement.snapshot().order == (
+            tuple(order[:start]) + merged + tuple(order[end + 1 :])
+        )

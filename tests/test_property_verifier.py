@@ -351,6 +351,101 @@ class TestRotationShortcut:
             assert feasible == is_minla_of_forest(Arrangement(rotated), full.forest)
             assert kendall_tau == (a_lo - u1_lo + sizes[a]) * (b_lo - a_hi)
 
+def _segmented(pick, previous, segments):
+    """``previous`` with one window cut into ``segments`` shuffled, flipped pieces.
+
+    The window is a random stretch of at least ``segments`` positions; each
+    piece keeps its order or is reversed, and the pieces are put back in a
+    random order.
+    """
+    n = len(previous)
+    lo = pick.randrange(n - segments + 1)
+    hi = pick.randrange(lo + segments - 1, n)
+    cuts = sorted(pick.sample(range(lo + 1, hi + 1), segments - 1))
+    bounds = [lo, *cuts, hi + 1]
+    pieces = [previous[a:b] for a, b in zip(bounds, bounds[1:])]
+    pieces = [piece[::-1] if pick.random() < 0.5 else piece for piece in pieces]
+    pick.shuffle(pieces)
+    return previous[:lo] + [node for piece in pieces for node in piece] + previous[hi + 1 :]
+
+
+def _backend_calls():
+    return work_snapshot().get("telemetry.backends.calls", 0)
+
+
+class TestWindowKendallTau:
+    """``_kendall_tau_from_previous`` against a quadratic pair count.
+
+    Windows cut into at most eight forward or reversed segments must be
+    priced by the segment closed form, without the inversion counter;
+    windows of more segments and arbitrary shuffles may take either path,
+    and every answer must equal the number of node pairs the two orders
+    disagree on.
+    """
+
+    @staticmethod
+    def _measure(previous, order):
+        verifier = IncrementalStepVerifier(LineForest(range(len(previous))), range(len(previous)))
+        verifier._previous_order = list(previous)
+        return verifier._kendall_tau_from_previous(list(order))
+
+    @staticmethod
+    def _expected(previous, order):
+        position = {node: index for index, node in enumerate(order)}
+        return _pair_count([position[node] for node in previous])
+
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=0, max_value=80),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_up_to_eight_segments_take_the_closed_form(self, segments, extra, seed):
+        pick = random.Random(seed)
+        previous = list(range(segments + extra))
+        pick.shuffle(previous)
+        order = _segmented(pick, previous, segments)
+        calls = _backend_calls()
+        distance, w_lo, w_hi, _ = self._measure(previous, order)
+        assert distance == self._expected(previous, order)
+        assert (w_lo, w_hi) == _window(previous, order)
+        assert _backend_calls() == calls
+
+    @given(
+        st.integers(min_value=9, max_value=40),
+        st.integers(min_value=0, max_value=80),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_nine_or_more_segments(self, segments, extra, seed):
+        pick = random.Random(seed)
+        previous = list(range(segments + extra))
+        pick.shuffle(previous)
+        order = _segmented(pick, previous, segments)
+        distance, w_lo, w_hi, _ = self._measure(previous, order)
+        assert distance == self._expected(previous, order)
+        assert (w_lo, w_hi) == _window(previous, order)
+
+    @given(st.permutations(list(range(30))), st.integers(min_value=1, max_value=30))
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_shuffles(self, previous, size):
+        previous = previous[:size]
+        order = sorted(previous)
+        distance, w_lo, w_hi, _ = self._measure(previous, order)
+        assert distance == self._expected(previous, order)
+        assert (w_lo, w_hi) == _window(previous, order)
+
+    def test_scattered_window_gives_up_after_eight_segments(self):
+        # 0 2 4 ... 1 3 5 ...: every node starts a one-node segment.
+        previous = list(range(40))
+        order = previous[0::2] + previous[1::2]
+        calls = _backend_calls()
+        distance, _, _, x_len = self._measure(previous, order)
+        assert distance == self._expected(previous, order)
+        assert x_len == -1
+        assert _backend_calls() == calls + 1
+
+
 def _window(before, after):
     moved = [index for index, (old, new) in enumerate(zip(before, after)) if old != new]
     return (moved[0], moved[-1]) if moved else (0, -1)
