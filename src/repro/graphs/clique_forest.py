@@ -15,7 +15,7 @@ maintains that structure incrementally:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Hashable, Iterable, List, TYPE_CHECKING, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, List, TYPE_CHECKING, Tuple
 
 from repro.errors import RevealError
 from repro.graphs.components import DisjointSetForest
@@ -58,6 +58,12 @@ class CliqueForest:
         if len(set(nodes)) != len(nodes):
             raise RevealError("duplicate nodes in clique forest universe")
         self._dsf = DisjointSetForest(nodes)
+        # Each root's clique, in the order of the union-find's roots.  A
+        # merge replaces only the merged clique, so an unchanged clique is
+        # the same frozenset object (with its hash cached) between merges.
+        self._cliques: Dict[Node, FrozenSet[Node]] = {
+            node: frozenset((node,)) for node in nodes
+        }
         self._history: List[MergeRecord] = []
 
     # ------------------------------------------------------------------
@@ -79,12 +85,16 @@ class CliqueForest:
         return sum(len(c) * (len(c) - 1) // 2 for c in self.components())
 
     def components(self) -> List[FrozenSet[Node]]:
-        """The current cliques as a list of node sets."""
-        return self._dsf.components()
+        """The current cliques as a list of node sets.
+
+        The order is the union-find's (:meth:`DisjointSetForest.components`),
+        and an unchanged clique comes back as the same object after a merge.
+        """
+        return list(self._cliques.values())
 
     def component_of(self, node: Node) -> FrozenSet[Node]:
         """The clique containing ``node``."""
-        return self._dsf.component_of(node)
+        return self._cliques[self._dsf.find(node)]
 
     def same_component(self, first: Node, second: Node) -> bool:
         """``True`` iff the two nodes currently belong to the same clique."""
@@ -127,12 +137,21 @@ class CliqueForest:
             raise RevealError(
                 f"nodes {first!r} and {second!r} already belong to the same clique"
             )
-        return self._dsf.component_of(first), self._dsf.component_of(second)
+        return self.component_of(first), self.component_of(second)
 
     def merge(self, first: Node, second: Node) -> MergeRecord:
-        """Merge the cliques of ``first`` and ``second`` into one clique."""
+        """Merge the cliques of ``first`` and ``second`` into one clique.
+
+        The merged clique takes the surviving root's place in
+        :meth:`components`; the other part's entry is removed.
+        """
         comp_a, comp_b = self.peek_merge(first, second)
-        self._dsf.union(first, second)
+        dsf = self._dsf
+        root_a, root_b = dsf.find(first), dsf.find(second)
+        survivor = dsf.union(first, second)
+        cliques = self._cliques
+        del cliques[root_b if survivor == root_a else root_a]
+        cliques[survivor] = comp_a | comp_b
         record = MergeRecord(comp_a, comp_b)
         self._history.append(record)
         return record
@@ -141,6 +160,7 @@ class CliqueForest:
         """An independent copy of the forest (history included)."""
         clone = CliqueForest([])
         clone._dsf = self._dsf.copy()
+        clone._cliques = dict(self._cliques)
         clone._history = list(self._history)
         return clone
 

@@ -51,14 +51,16 @@ class LineForest:
         nodes = list(nodes)
         if len(set(nodes)) != len(nodes):
             raise RevealError("duplicate nodes in line forest universe")
-        # Each component is stored once as a list of nodes in path order;
+        # Each component is stored once as a tuple of nodes in path order;
         # ``_component_id`` maps every node to the index of its component.
-        self._paths: Dict[int, List[Node]] = {}
+        # A reveal replaces only the joined paths, so an unchanged path is
+        # the same tuple object between reveals.
+        self._paths: Dict[int, Tuple[Node, ...]] = {}
         self._component_id: Dict[Node, int] = {}
         self._history: List[LineMergeRecord] = []
         self._next_id = 0
         for node in nodes:
-            self._paths[self._next_id] = [node]
+            self._paths[self._next_id] = (node,)
             self._component_id[node] = self._next_id
             self._next_id += 1
 
@@ -86,9 +88,12 @@ class LineForest:
         return [frozenset(path) for path in self._paths.values()]
 
     def paths(self) -> List[Tuple[Node, ...]]:
-        """The current components as node sequences in path order."""
-        # repro: allow[det003] — path dict is insertion-ordered; merges update it deterministically
-        return [tuple(path) for path in self._paths.values()]
+        """The current components as node sequences in path order.
+
+        A reveal appends the joined path at the end and removes its two
+        parts; every other path comes back as the same tuple object.
+        """
+        return list(self._paths.values())
 
     def component_of(self, node: Node) -> FrozenSet[Node]:
         """The node set of ``node``'s path."""
@@ -96,7 +101,7 @@ class LineForest:
 
     def path_of(self, node: Node) -> Tuple[Node, ...]:
         """The path containing ``node``, as a node sequence in path order."""
-        return tuple(self._paths[self._component_id[node]])
+        return self._paths[self._component_id[node]]
 
     def same_component(self, first: Node, second: Node) -> bool:
         """``True`` iff the two nodes currently belong to the same path."""
@@ -157,8 +162,8 @@ class LineForest:
         path_a, path_b = self.peek_edge(first, second)
         # Orient path_a so that ``first`` is its last node, and path_b so that
         # ``second`` is its first node; the merged path is the concatenation.
-        oriented_a = list(path_a) if path_a[-1] == first else list(reversed(path_a))
-        oriented_b = list(path_b) if path_b[0] == second else list(reversed(path_b))
+        oriented_a = path_a if path_a[-1] == first else path_a[::-1]
+        oriented_b = path_b if path_b[0] == second else path_b[::-1]
         merged = oriented_a + oriented_b
 
         id_a = self._component_id[first]
@@ -176,7 +181,7 @@ class LineForest:
             second=path_b,
             endpoint_first=first,
             endpoint_second=second,
-            merged=tuple(merged),
+            merged=merged,
         )
         self._history.append(record)
         return record
@@ -184,8 +189,7 @@ class LineForest:
     def copy(self) -> "LineForest":
         """An independent copy of the forest (history included)."""
         clone = LineForest([])
-        # repro: allow[det003] — clone preserves the source dict's deterministic insertion order
-        clone._paths = {cid: list(path) for cid, path in self._paths.items()}
+        clone._paths = dict(self._paths)
         clone._component_id = dict(self._component_id)
         clone._history = list(self._history)
         clone._next_id = self._next_id

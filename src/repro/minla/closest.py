@@ -37,30 +37,38 @@ module provides three strategies:
   only when the exact strategies are out of reach.
 
 ``method="auto"`` picks the best applicable strategy.  All three share the
-cross-cost matrix, built in one ``O(n · m)`` pass over ``π_0``.
+``m × m`` cross-cost matrix.
 
 *Run-scoped state.*  A reveal merges two components and leaves every other
 one as it was, so consecutive graphs of one run share almost all of their
 blocks.  A :class:`ClosestSolver` is built once from ``π_0`` and solves
 every graph of one run.  For each block of its latest solve it keeps the
-block's internal order, internal cost and ``π_0`` position sum (the greedy
-strategy's mean position), and, for a clique, the :class:`Block` itself,
-keyed by the forest's node set so that the ``repr`` sort runs once.  After
-each solve it drops every entry whose block was not in that solve, so its
-state stays ``O(n)``.  The state only saves work: a solve returns exactly
-what a fresh solver returns.  Its owners are per run: ``Det`` builds one in
-``reset()`` and :func:`repro.core.opt.offline_optimum_bounds` one per call,
-shared by its final, laminar and prefix solves.  No state outlives them, so
-repeating a run repeats all of its work.  :func:`closest_feasible_arrangement`
-solves through the caller's solver, or through a fresh one.
+block's internal order, internal cost, ``π_0`` position sum (the greedy
+strategy's mean position) and slot in the latest cross matrix, which it
+also keeps.  When a solve's blocks are the latest solve's with some of them
+replaced by their union, in the same relative order (a forward reveal of
+either forest, or the same blocks again), the matrix is updated in
+``O(m · parts)`` list operations instead of rebuilt in one ``O(n · m)``
+pass over ``π_0``; any other block list (a first solve, OPT's laminar
+blocks, the prefix walk's splits) is rebuilt.  For every component of the
+latest forest it read, :meth:`ClosestSolver.blocks` keeps the
+:class:`Block`, keyed by the forest's own component object, so a clique's
+``repr`` sort runs once.  Entries of blocks that are gone are dropped, so
+the state stays ``O(n + m²)``.  The state only saves work: a solve returns
+exactly what a fresh solver returns.  Its owners are per run: ``Det``
+builds one in ``reset()`` and :func:`repro.core.opt.offline_optimum_bounds`
+one per call, shared by its final, laminar and prefix solves.  No state
+outlives them, so repeating a run repeats all of its work.
+:func:`closest_feasible_arrangement` solves through the caller's solver, or
+through a fresh one.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import accumulate, combinations
-from operator import add, sub
+from itertools import accumulate, combinations, repeat
+from operator import add, ge, is_not, itemgetter, sub
 from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.permutation import Arrangement
@@ -115,11 +123,16 @@ def _clique_block(component: FrozenSet[Node]) -> Block:
     return Block(BlockKind.FREE, tuple(sorted(component, key=repr)))
 
 
+def _path_block(path: Tuple[Node, ...]) -> Block:
+    """A path's block, its nodes in path order."""
+    return Block(BlockKind.PATH, path)
+
+
 def blocks_from_forest(forest: Union[CliqueForest, LineForest]) -> List[Block]:
     """Convert a clique or line forest into the solver's block representation."""
     if isinstance(forest, CliqueForest):
         return [_clique_block(component) for component in forest.components()]
-    return [Block(BlockKind.PATH, path) for path in forest.paths()]
+    return [_path_block(path) for path in forest.paths()]
 
 
 # ----------------------------------------------------------------------
@@ -167,15 +180,6 @@ def _pairwise_inversions(pi0: Arrangement, blocks: Sequence[Block]) -> List[List
     for index in range(m):
         inv[index][index] = 0
     return inv
-
-
-def _order_cost(order: Sequence[int], inv: Sequence[Sequence[int]]) -> int:
-    """Total cross cost of placing blocks in the given index order."""
-    cost = 0
-    for left_pos in range(len(order)):
-        for right_pos in range(left_pos + 1, len(order)):
-            cost += inv[order[left_pos]][order[right_pos]]
-    return cost
 
 
 # ----------------------------------------------------------------------
@@ -263,7 +267,7 @@ def _exact_order_dp(
     k, s = len(big), len(singletons)
     columns = [list(column) for column in zip(*inv)]
     net = [sum(inv[block]) - sum(columns[block]) for block in range(m)]
-    upper = _order_cost(_local_search(sorted(range(m), key=net.__getitem__), inv), inv)
+    _, upper = _local_search(sorted(range(m), key=net.__getitem__), inv)
     half = k >> 1
     low_mask = (1 << half) - 1
     step = 1 << k  # adds one singleton to a key
@@ -337,19 +341,35 @@ def _mean_position_order(blocks: Sequence[Block], position_sums: Sequence[int]) 
     return sorted(range(len(blocks)), key=means.__getitem__)
 
 
-def _local_search(order: List[int], inv: Sequence[Sequence[int]], max_passes: int = 50) -> List[int]:
-    """Improve a block order by swapping adjacent blocks until a local optimum."""
+def _local_search(
+    order: List[int], inv: Sequence[Sequence[int]], max_passes: int = 50
+) -> Tuple[List[int], int]:
+    """Improve a block order by swapping adjacent blocks until a local optimum.
+
+    Returns the order and its cross cost.  The start order is priced once
+    (``O(m²)``); a swap of adjacent ``left, right`` then changes the cost
+    by ``inv[right][left] − inv[left][right]``.
+    """
     order = list(order)
+    cost = 0
+    later = list(order)
+    for block in order:
+        del later[0]
+        row = inv[block]
+        for other in later:
+            cost += row[other]
     for _ in range(max_passes):
         improved = False
         for index in range(len(order) - 1):
             left, right = order[index], order[index + 1]
-            if inv[right][left] < inv[left][right]:
+            gain = inv[left][right] - inv[right][left]
+            if gain > 0:
                 order[index], order[index + 1] = right, left
+                cost -= gain
                 improved = True
         if not improved:
             break
-    return order
+    return order, cost
 
 
 def _insertion_order(
@@ -394,34 +414,113 @@ def _insertion_order(
 class ClosestSolver:
     """Closest feasible arrangements to one ``π_0``, for all graphs of one run.
 
-    Keeps, for every block of its latest solve, the block's internal order,
-    internal cost and ``π_0`` position sum, and for a clique its
-    :class:`Block`, keyed by the forest's node set; see the module
-    docstring.  Entries are keyed by the block's node tuple and kind, so a
-    block is recognised by value: the caller may pass new ``Block`` objects
-    for unchanged components.  Each solve returns exactly what a fresh
-    solver returns.
+    Keeps the cross matrix of its latest solve and, for every block of that
+    solve, the block's internal order, internal cost, ``π_0`` position sum
+    and matrix slot; and, for every component of the latest forest read by
+    :meth:`blocks`, its :class:`Block`.  See the module docstring.
+    Per-block entries are keyed by the block's node tuple, so a block is
+    recognised by value: the caller may pass new ``Block`` objects for
+    unchanged components.  Each solve returns exactly what a fresh solver
+    returns.
     """
 
     def __init__(self, pi0: Arrangement) -> None:
         self.pi0 = pi0
         self._nodes = pi0.nodes
-        self._cliques: Dict[FrozenSet[Node], Block] = {}
-        # block.nodes -> (kind, internal order, internal cost, position sum)
-        self._known: Dict[Tuple[Node, ...], Tuple[BlockKind, Tuple[Node, ...], int, int]] = {}
+        # The latest forest's components, as read by blocks(), and their Blocks.
+        self._components: Dict[Union[FrozenSet[Node], Tuple[Node, ...]], Block] = {}
+        # block.nodes -> [kind, internal order, internal cost, position sum,
+        # slot]; ``slot`` is the block's index in the latest solve.
+        self._known: Dict[Tuple[Node, ...], list] = {}
+        # The latest solve's blocks by slot, and its cross matrix.
+        self._previous: List[Block] = []
+        self._inv: List[List[int]] = []
 
     def blocks(self, forest: Union[CliqueForest, LineForest]) -> List[Block]:
-        """:func:`blocks_from_forest`, reusing the ``Block`` of every clique seen before."""
-        if not isinstance(forest, CliqueForest):
-            return blocks_from_forest(forest)
-        cliques = self._cliques
-        blocks = []
-        for component in forest.components():
-            block = cliques.get(component)
-            if block is None:
-                block = cliques[component] = _clique_block(component)
-            blocks.append(block)
+        """:func:`blocks_from_forest`, reusing the ``Block`` of every component seen before.
+
+        Components are looked up by the forest's own objects (a clique's
+        node set, a path's node tuple), which the forests keep unchanged
+        between merges.
+        """
+        if isinstance(forest, CliqueForest):
+            components, make = forest.components(), _clique_block
+        else:
+            components, make = forest.paths(), _path_block
+        blocks = list(map(self._components.get, components))
+        if not all(blocks):  # a miss is None; a Block is always true
+            blocks = [
+                make(component) if block is None else block
+                for component, block in zip(components, blocks)
+            ]
+        self._components = dict(zip(components, blocks))
         return blocks
+
+    def _carry(self, blocks: Sequence[Block]) -> Tuple[list, List[List[int]]]:
+        """This solve's per-block entries and cross matrix.
+
+        A block of the latest solve is found with one hash of its node
+        tuple.  When every block but at most one is a block of the latest
+        solve, in the same relative order, the new block is the union of
+        the latest blocks that are gone (both lists partition the nodes),
+        and the matrix is updated in place: the new row is the sum of their
+        rows, every other row's new entry the sum of its entries for them,
+        and their slots are deleted.  That covers a forward reveal of
+        either forest and a repeated solve.  Any other block list gets a
+        fresh :func:`_pairwise_inversions`.
+        """
+        pi0 = self.pi0
+        known = self._known
+        entries = list(map(known.get, [block.nodes for block in blocks]))
+        fresh = []  # indices of the blocks the latest solve did not have
+        if not all(entries):  # a miss is None; an entry is a non-empty list
+            for index, block in enumerate(blocks):
+                if entries[index] is None:
+                    # A repeated node tuple finds this entry and counts as
+                    # fresh again, which forces a rebuild.
+                    entry = known.get(block.nodes)
+                    if entry is None:
+                        order, cost = best_internal_order(pi0, block)
+                        entry = known[block.nodes] = [
+                            block.kind, order, cost, sum(pi0.positions_of(block.nodes)), -1
+                        ]
+                    entries[index] = entry
+                    fresh.append(index)
+        if any(map(is_not, map(itemgetter(0), entries), [block.kind for block in blocks])):
+            for entry, block in zip(entries, blocks):
+                if entry[0] is not block.kind:
+                    entry[:3] = [block.kind, *best_internal_order(pi0, block)]
+        carried = [entry[4] for entry in entries if entry[4] >= 0]
+        previous = self._previous
+        gone = sorted(set(range(len(previous))).difference(carried))
+        for slot in gone:
+            known.pop(previous[slot].nodes, None)
+
+        inv = self._inv
+        if len(fresh) > 1 or any(map(ge, carried, carried[1:])):
+            inv = _pairwise_inversions(pi0, blocks)
+        else:
+            merged = [0] * len(previous)
+            for slot in gone:
+                merged = list(map(add, merged, inv[slot]))
+            for slot in reversed(gone):
+                del inv[slot]
+            column = [0] * len(inv)
+            for slot in reversed(gone):
+                column = list(map(add, column, map(list.pop, inv, repeat(slot))))
+            if fresh:
+                index = fresh[0]
+                list(map(list.insert, inv, repeat(index), column))
+                for slot in reversed(gone):
+                    del merged[slot]
+                merged.insert(index, 0)
+                inv.insert(index, merged)
+
+        for index, entry in enumerate(entries):
+            entry[4] = index
+        self._previous = list(blocks)
+        self._inv = inv
+        return entries, inv
 
     def solve(
         self,
@@ -441,32 +540,13 @@ class ClosestSolver:
                     "blocks must partition the node set of the reference permutation"
                 )
 
-            known = self._known
-            entries = []
-            for block in blocks:
-                entry = known.get(block.nodes)
-                if entry is None or entry[0] is not block.kind:
-                    order, cost = best_internal_order(pi0, block)
-                    entry = (block.kind, order, cost, sum(pi0.positions_of(block.nodes)))
-                entries.append(entry)
-            # Keep only this solve's blocks: the next graph of the run shares
-            # all but the merged one.
-            self._known = known = {block.nodes: entry for block, entry in zip(blocks, entries)}
-            self._cliques = {
-                component: block
-                # repro: allow[det003] — a lookup table: its order is never read
-                for component, block in self._cliques.items()
-                if block.nodes in known
-            }
+            entries, inv = self._carry(blocks)
+            internal_cost = sum(map(itemgetter(2), entries))
 
-            internal_cost = sum(entry[2] for entry in entries)
-            inv = _pairwise_inversions(pi0, blocks)
-
-            num_nontrivial = sum(1 for block in blocks if len(block.nodes) > 1)
             if method == "auto":
                 if len(blocks) <= max_exact_blocks:
                     method = "exact"
-                elif num_nontrivial <= 1:
+                elif sum(1 for block in blocks if len(block.nodes) > 1) <= 1:
                     method = "insertion"
                 else:
                     method = "greedy"
@@ -483,8 +563,9 @@ class ClosestSolver:
                 exact = True
             elif method == "greedy":
                 position_sums = [entry[3] for entry in entries]
-                order = _local_search(_mean_position_order(blocks, position_sums), inv)
-                cross_cost = _order_cost(order, inv)
+                order, cross_cost = _local_search(
+                    _mean_position_order(blocks, position_sums), inv
+                )
                 exact = False  # greedy never claims optimality
             else:
                 raise SolverError(f"unknown closest-arrangement method {method!r}")
@@ -492,8 +573,12 @@ class ClosestSolver:
             layout: List[Node] = []
             for index in order:
                 layout.extend(entries[index][1])
+            # The partition test above makes the layout a permutation.
+            arrangement = tuple(layout)
             return ClosestResult(
-                arrangement=Arrangement(layout),
+                arrangement=Arrangement._from_trusted(
+                    arrangement, dict(zip(arrangement, range(len(arrangement))))
+                ),
                 distance=cross_cost + internal_cost,
                 exact=exact,
                 method=method,

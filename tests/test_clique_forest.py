@@ -1,10 +1,13 @@
 """Unit tests for the incremental clique-collection model."""
 
+import random
+
 import networkx as nx
 import pytest
 
 from repro.errors import RevealError
 from repro.graphs.clique_forest import CliqueForest
+from repro.workloads.generation import random_clique_merge_sequence
 
 
 def merge_tree_orders(forest):
@@ -109,3 +112,64 @@ class TestMergeTreeOrders:
         forest = CliqueForest(["a", "b"])
         orders = merge_tree_orders(forest)
         assert orders == {frozenset({"a"}): ("a",), frozenset({"b"}): ("b",)}
+
+
+def _merge_steps(seed, n=24, final_components=3):
+    """A seeded clique-merge reveal sequence's ``(u, v)`` pairs."""
+    sequence = random_clique_merge_sequence(
+        n, random.Random(seed), num_final_components=final_components
+    )
+    return [(step.u, step.v) for step in sequence.steps]
+
+
+class TestComponentObjects:
+    """Merges keep every unchanged clique's object and the union-find's order."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_a_merge_replaces_exactly_the_merged_clique(self, seed):
+        forest = CliqueForest(range(24))
+        for first, second in _merge_steps(seed):
+            before = forest.components()
+            part_a, part_b = forest.peek_merge(first, second)
+            record = forest.merge(first, second)
+            after = forest.components()
+            assert (record.first, record.second) == (part_a, part_b)
+            # The merged clique takes one part's slot; the other's is gone.
+            layouts = [
+                [record.merged if old is keep else old for old in before if old is not drop]
+                for keep, drop in ((part_a, part_b), (part_b, part_a))
+            ]
+            assert after in layouts
+            layout = layouts[layouts.index(after)]
+            slot = after.index(record.merged)
+            for index, (old, new) in enumerate(zip(layout, after)):
+                if index != slot:
+                    assert new is old
+            assert forest.component_of(first) is after[slot]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_order_equals_the_union_find_and_a_fresh_forest(self, seed):
+        steps = _merge_steps(seed)
+        forest = CliqueForest(range(24))
+        for count, (first, second) in enumerate(steps, start=1):
+            forest.merge(first, second)
+            fresh = CliqueForest(range(24))
+            for pair in steps[:count]:
+                fresh.merge(*pair)
+            assert forest.components() == fresh.components()
+            assert forest.components() == forest._dsf.components()
+
+    def test_copy_stays_independent_both_ways(self):
+        forest = CliqueForest(range(6))
+        forest.merge(0, 1)
+        clone = forest.copy()
+        clone.merge(2, 3)
+        forest.merge(4, 5)
+        assert forest.components() == [
+            frozenset({0, 1}), frozenset({2}), frozenset({3}), frozenset({4, 5})
+        ]
+        assert clone.components() == [
+            frozenset({0, 1}), frozenset({2, 3}), frozenset({4}), frozenset({5})
+        ]
+        assert forest.component_of(2) == frozenset({2})
+        assert clone.component_of(4) == frozenset({4})

@@ -17,9 +17,14 @@ prefix walk, which skips exact solves its greedy distance shows cannot
 raise the bound and takes its prefixes from one forward replay, is held to
 solving every prefix exactly, each from a fresh forest.  The run-scoped
 :class:`repro.minla.closest.ClosestSolver`, which carries per-block state
-from one solve to the next, is held at every step of random runs to a
-fresh solve, for every strategy, and ``Det`` to a fresh learner after a
-``reset()`` onto another ``π_0``.
+and the cross matrix from one solve to the next, is held at every step of
+random runs to a fresh solve, for every strategy; its kept matrix is held
+to a fresh :func:`repro.minla.closest._pairwise_inversions` after every
+solve of Det, the OPT brackets, a repeated block list and a node tuple
+re-solved as the other kind; and ``Det`` is held to a fresh learner after
+a ``reset()`` onto another ``π_0``.  The cost that
+:func:`repro.minla.closest._local_search` tracks through its swaps is held
+to the quadratic sum over its order, kept below as the reference.
 """
 
 import itertools
@@ -41,12 +46,13 @@ from repro.core.permutation import Arrangement
 from repro.core.simulator import run_online
 from repro.errors import SolverError
 from repro.graphs.reveal import CliqueRevealSequence, GraphKind, LineRevealSequence
+from repro.minla import closest
 from repro.minla.closest import (
     Block,
     BlockKind,
     ClosestSolver,
     _exact_order_dp,
-    _order_cost,
+    _local_search,
     _pairwise_inversions,
     _singletons_in_pi0_order,
     blocks_from_forest,
@@ -91,6 +97,15 @@ def _reference_order_dp(inv):
         mask ^= 1 << block
     order_reversed.reverse()
     return order_reversed, dp[full]
+
+
+def _order_cost(order, inv):
+    """Cross cost of a block order: the quadratic sum over every ordered pair."""
+    cost = 0
+    for left_pos in range(len(order)):
+        for right_pos in range(left_pos + 1, len(order)):
+            cost += inv[order[left_pos]][order[right_pos]]
+    return cost
 
 
 def _brute_force_order(inv):
@@ -195,6 +210,31 @@ class TestTieBreakByBruteForce:
         inv = _pairwise_inversions(pi0, blocks)
         singletons = _singletons_in_pi0_order(pi0, blocks)
         assert _exact_order_dp(inv, singletons) == _brute_force_order(inv)
+
+
+class TestLocalSearchCost:
+    """The cost tracked through the adjacent swaps is the order's quadratic sum."""
+
+    @given(tie_heavy_matrices(max_blocks=12), st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_tracked_cost_equals_the_quadratic_sum(self, inv, rng):
+        start = list(range(len(inv)))
+        rng.shuffle(start)
+        order, cost = _local_search(start, inv)
+        assert sorted(order) == list(range(len(inv)))
+        assert cost == _order_cost(order, inv)
+
+    @given(partitioned_arrangements())
+    @settings(max_examples=100, deadline=None)
+    def test_greedy_distance_prices_its_order(self, case):
+        pi0, blocks = case
+        result = ClosestSolver(pi0).solve(blocks, method="greedy")
+        block_of = {node: index for index, block in enumerate(blocks) for node in block.nodes}
+        order = []
+        for node in result.arrangement.order:
+            if not order or order[-1] != block_of[node]:
+                order.append(block_of[node])
+        assert result.distance == _order_cost(order, _pairwise_inversions(pi0, blocks))
 
 
 class TestBoundedSearchWork:
@@ -368,6 +408,58 @@ class TestRunScopedSolver:
                     if shared[0] != "error":
                         # State is kept for the latest solve's blocks only.
                         assert set(solver._known) == {block.nodes for block in blocks}
+
+    @given(
+        st.sampled_from(["cliques", "lines"]),
+        st.integers(min_value=1, max_value=24),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=1, max_value=13),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_the_kept_matrix_equals_a_fresh_one_after_every_solve(
+        self, kind, n, final_components, seed, max_exact_blocks
+    ):
+        instance = _instance(kind, n, min(final_components, n), seed)
+        pi0 = instance.initial_arrangement
+        solved = []
+        rebuilt = []
+        original = ClosestSolver.solve
+
+        def checked_solve(solver, blocks, *args, **kwargs):
+            result = original(solver, blocks, *args, **kwargs)
+            solved.append(blocks)
+            assert solver._inv == _pairwise_inversions(pi0, blocks)
+            slots = [solver._known[block.nodes][4] for block in blocks]
+            assert slots == list(range(len(blocks)))
+            return result
+
+        def counted_rebuild(*args):
+            rebuilt.append(args)
+            return _pairwise_inversions(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ClosestSolver, "solve", checked_solve)
+            patch.setattr(closest, "_pairwise_inversions", counted_rebuild)
+            # Det: every forward reveal merges two blocks, so only the
+            # first solve builds the matrix.
+            det = DeterministicClosestLearner(max_exact_blocks=max_exact_blocks)
+            run_online(det, instance)
+            assert len(rebuilt) <= 1
+            # OPT: laminar PATH blocks, the final graph, and the backward
+            # prefix walk, which splits blocks and solves some twice.
+            offline_optimum_bounds(instance, max_exact_blocks=max_exact_blocks)
+            # The same block list twice, then one node tuple as the other kind.
+            solver = ClosestSolver(pi0)
+            blocks = blocks_from_forest(instance.sequence.final_forest())
+            for _ in range(2):
+                solver.solve(blocks, method="greedy")
+            other = BlockKind.PATH if kind == "cliques" else BlockKind.FREE
+            swapped = [Block(other, block.nodes) for block in blocks]
+            assert _outcome(pi0, swapped, "auto", max_exact_blocks, solver) == _outcome(
+                pi0, swapped, "auto", max_exact_blocks
+            )
+        assert len(solved) >= instance.num_steps + 3
 
     def test_a_block_of_the_other_kind_is_not_reused(self):
         # PATH (0, 1, 2) must keep its path order or its reverse; FREE

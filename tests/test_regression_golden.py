@@ -23,6 +23,8 @@ from repro.core.simulator import run_online
 from repro.graphs.generators import random_clique_merge_sequence, random_line_sequence
 from repro.graphs.reveal import CliqueRevealSequence, LineRevealSequence
 from repro.minla.exact import exact_minla_value
+from repro.obs.profile import work_delta, work_snapshot
+from repro.workloads.registry import get_scenario
 
 
 class TestGoldenDeterministicValues:
@@ -86,3 +88,72 @@ class TestGoldenDeterministicValues:
         assert result.total_cost == 55
         assert result.ledger.total_moving_cost == 22
         assert result.ledger.total_rearranging_cost == 33
+
+
+DET_OPT_SCENARIOS = (
+    "uniform-cliques",
+    "uniform-lines",
+    "zipf-tenants",
+    "bursty-pipelines",
+    "tournament-merge",
+)
+
+# (OPT lower, OPT upper, Det cost) per (scenario, node budget, pattern seed),
+# initial arrangements drawn as perfbench's det-opt workload draws them at
+# seed 0.
+DET_OPT_GOLDEN = {
+    ("uniform-cliques", 24, 0): [(62, 86, 278)],
+    ("uniform-cliques", 24, 1): [(101, 115, 746)],
+    ("uniform-cliques", 48, 0): [(294, 413, 2166)],
+    ("uniform-cliques", 48, 1): [(380, 444, 2260)],
+    ("uniform-lines", 24, 0): [(112, 112, 314)],
+    ("uniform-lines", 24, 1): [(134, 134, 450)],
+    ("uniform-lines", 48, 0): [(547, 547, 2387)],
+    ("uniform-lines", 48, 1): [(561, 561, 2811)],
+    ("zipf-tenants", 24, 0): [(86, 88, 240)],
+    ("zipf-tenants", 24, 1): [(58, 63, 166)],
+    ("zipf-tenants", 48, 0): [(0, 313, 611)],
+    ("zipf-tenants", 48, 1): [(0, 355, 795)],
+    ("bursty-pipelines", 24, 0): [(78, 78, 210)],
+    ("bursty-pipelines", 24, 1): [(81, 81, 191)],
+    ("bursty-pipelines", 48, 0): [(339, 339, 821)],
+    ("bursty-pipelines", 48, 1): [(0, 320, 548)],
+    ("tournament-merge", 24, 0): [(93, 106, 376)],
+    ("tournament-merge", 24, 1): [(75, 89, 398)],
+    ("tournament-merge", 48, 0): [(351, 446, 2078)],
+    ("tournament-merge", 48, 1): [(393, 426, 1824)],
+}
+
+
+class TestGoldenDetOpt:
+    """Det and the OPT brackets on every det-opt benchmark shape at one seed.
+
+    A change to the closest-arrangement solver that moves any result, or
+    the subset DP's work, fails here.
+    """
+
+    def test_bounds_costs_and_dp_work(self):
+        seed = 0
+        before = work_snapshot()
+        observed = {}
+        for name in DET_OPT_SCENARIOS:
+            scenario = get_scenario(name)
+            for budget in (24, 48):
+                for pattern in (0, 1):
+                    rows = []
+                    sequences = scenario.reveal_sequences(budget, pattern)
+                    for index, sequence in enumerate(sequences):
+                        rng = random.Random(
+                            f"{seed}|det-opt|{name}|{budget}|{pattern}|{index}"
+                        )
+                        instance = OnlineMinLAInstance.with_random_start(sequence, rng)
+                        bounds = offline_optimum_bounds(instance)
+                        result = run_online(
+                            DeterministicClosestLearner(), instance, verify=True
+                        )
+                        rows.append((bounds.lower, bounds.upper, result.total_cost))
+                    observed[(name, budget, pattern)] = rows
+        work = work_delta(before, work_snapshot())
+        assert observed == DET_OPT_GOLDEN
+        assert work["minla.closest.dp_states"] == 3072
+        assert work["minla.closest.dp_transitions"] == 5000
