@@ -37,7 +37,6 @@ from repro.core import (
     MutableArrangement,
     DeterministicClosestLearner,
     GreedyClosestLearner,
-    GreedyOrientationLineLearner,
     MoveSmallerCliqueLearner,
     MoveSmallerLineLearner,
     OnlineMinLAAlgorithm,
@@ -53,7 +52,6 @@ from repro.core import (
     exact_optimal_online_cost,
     expected_cost,
     harmonic_number,
-    kendall_tau_distance,
     offline_optimum_bounds,
     rand_cliques_ratio_bound,
     rand_lines_ratio_bound,
@@ -101,7 +99,6 @@ from repro.minla import (
 from repro.obs import (
     FixedBucketHistogram,
     HistogramSnapshot,
-    MetricsRegistry,
     SpanTrace,
 )
 from repro.runstore import RunRecord, RunStore
@@ -143,10 +140,8 @@ __all__ = [
     "FleetSnapshot",
     "GraphKind",
     "HistogramSnapshot",
-    "MetricsRegistry",
     "SpanTrace",
     "GreedyClosestLearner",
-    "GreedyOrientationLineLearner",
     "InfeasibleArrangementError",
     "LineForest",
     "LineRevealSequence",
@@ -195,7 +190,6 @@ __all__ = [
     "heuristic_minla",
     "is_minla_of_cliques",
     "is_minla_of_lines",
-    "kendall_tau_distance",
     "linear_arrangement_cost",
     "offline_optimum_bounds",
     "pipeline_line_sequence",

@@ -15,7 +15,6 @@ from repro.core.opt import OptBounds, exact_optimal_online_cost, offline_optimum
 from repro.core.permutation import (
     Arrangement,
     MutableArrangement,
-    kendall_tau_distance,
     random_arrangement,
 )
 from repro.core.rand_cliques import (
@@ -24,7 +23,6 @@ from repro.core.rand_cliques import (
     UnbiasedCoinCliqueLearner,
 )
 from repro.core.rand_lines import (
-    GreedyOrientationLineLearner,
     MoveSmallerLineLearner,
     RandomizedLineLearner,
     UnbiasedCoinLineLearner,
@@ -42,7 +40,6 @@ __all__ = [
     "MutableArrangement",
     "DeterministicClosestLearner",
     "GreedyClosestLearner",
-    "GreedyOrientationLineLearner",
     "MoveSmallerCliqueLearner",
     "MoveSmallerLineLearner",
     "OnlineMinLAAlgorithm",
@@ -58,7 +55,6 @@ __all__ = [
     "exact_optimal_online_cost",
     "expected_cost",
     "harmonic_number",
-    "kendall_tau_distance",
     "offline_optimum_bounds",
     "rand_cliques_ratio_bound",
     "rand_lines_ratio_bound",

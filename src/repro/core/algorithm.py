@@ -18,22 +18,15 @@ Algorithms maintain their own view of the revealed graph (a
 independent copy to verify feasibility, so a bookkeeping bug in an algorithm
 cannot silently corrupt an experiment.
 
-Two update protocols coexist:
-
-* **Fast path** — subclasses implement :meth:`_handle_step_fast`, which
-  mutates an array-backed :class:`~repro.core.permutation.MutableArrangement`
-  in place and returns ``(moving_cost, rearranging_cost, kendall_tau)``.
-  Because the paper's block operations are swap-exact (each reported swap is
-  one adjacent transposition, and the moving and rearranging phases flip
-  disjoint node pairs), the returned ``kendall_tau`` is the exact distance
-  between consecutive permutations.  Immutable snapshots are materialized
-  lazily, only when :attr:`current_arrangement` is read.
-* **Slow path** — subclasses implement :meth:`_handle_step`, returning a
-  fresh immutable :class:`~repro.core.permutation.Arrangement`; the base
-  class computes the Kendall-tau distance independently.  The default
-  :meth:`_handle_step` delegates to :meth:`_handle_step_fast` on a scratch
-  copy, so fast-path algorithms remain fully usable through the classic
-  protocol (and through subclasses that override :meth:`_handle_step`).
+Subclasses implement one update, :meth:`_handle_step_fast`, which mutates an
+array-backed :class:`~repro.core.permutation.MutableArrangement` in place and
+returns ``(moving_cost, rearranging_cost, kendall_tau)``.  Because the
+paper's block operations are swap-exact (each reported swap is one adjacent
+transposition, and the moving and rearranging phases flip disjoint node
+pairs), the returned ``kendall_tau`` is the exact distance between
+consecutive permutations; the simulator's verifier measures it independently.
+Immutable snapshots are materialized lazily, only when
+:attr:`current_arrangement` is read.
 """
 
 from __future__ import annotations
@@ -60,8 +53,7 @@ ArrangementView = Union[Arrangement, MutableArrangement]
 class OnlineMinLAAlgorithm(abc.ABC):
     """Abstract base class of all online learning MinLA algorithms.
 
-    Subclasses implement :meth:`_handle_step_fast` (preferred, in-place) or
-    :meth:`_handle_step` (classic, immutable) and may override
+    Subclasses implement :meth:`_handle_step_fast` and may override
     :meth:`supports` to restrict themselves to one graph kind (for example,
     the randomized clique learner refuses line instances).
     """
@@ -70,20 +62,6 @@ class OnlineMinLAAlgorithm(abc.ABC):
     name: str = "online-minla-algorithm"
 
     def __init__(self) -> None:
-        # Neither handler is @abstractmethod (subclasses choose one), so
-        # preserve the abstract-class contract explicitly: constructing a
-        # class that implements no update protocol fails here, not at the
-        # first process() call deep inside a run.
-        cls = type(self)
-        if (
-            cls._handle_step is OnlineMinLAAlgorithm._handle_step
-            and cls._handle_step_fast is OnlineMinLAAlgorithm._handle_step_fast
-        ):
-            raise TypeError(
-                f"Can't instantiate {cls.__name__}: implement _handle_step or "
-                "_handle_step_fast (or override process entirely alongside a "
-                "_handle_step stub)"
-            )
         self._arrangement: Optional[Arrangement] = None
         self._mutable: Optional[MutableArrangement] = None
         self._initial_arrangement: Optional[Arrangement] = None
@@ -99,19 +77,6 @@ class OnlineMinLAAlgorithm(abc.ABC):
     def supports(cls, kind: GraphKind) -> bool:
         """Whether the algorithm can handle instances of the given graph kind."""
         return True
-
-    @classmethod
-    def _uses_fast_path(cls) -> bool:
-        """Fast path applies when the class customizes only the in-place handler.
-
-        A subclass overriding :meth:`_handle_step` (e.g. an instrumentation
-        wrapper in the test suite) is routed through the classic protocol so
-        its override is honoured.
-        """
-        return (
-            cls._handle_step is OnlineMinLAAlgorithm._handle_step
-            and cls._handle_step_fast is not OnlineMinLAAlgorithm._handle_step_fast
-        )
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -144,11 +109,7 @@ class OnlineMinLAAlgorithm(abc.ABC):
         self._kind = kind
         self._initial_arrangement = initial_arrangement
         self._arrangement = initial_arrangement
-        self._mutable = (
-            MutableArrangement.from_arrangement(initial_arrangement)
-            if type(self)._uses_fast_path()
-            else None
-        )
+        self._mutable = MutableArrangement.from_arrangement(initial_arrangement)
         self._rng = rng if rng is not None else random.Random(0)
         self._forest = (
             CliqueForest(nodes) if kind is GraphKind.CLIQUES else LineForest(nodes)
@@ -166,30 +127,25 @@ class OnlineMinLAAlgorithm(abc.ABC):
     def current_arrangement(self) -> Arrangement:
         """The permutation currently maintained by the algorithm.
 
-        On the fast path this materializes (and caches) an immutable snapshot
-        of the in-place state; the cache is invalidated by every update.
+        This materializes (and caches) an immutable snapshot of the in-place
+        state; the cache is invalidated by every update.
         """
-        if self._initial_arrangement is None:
+        if self._mutable is None:
             raise ReproError("the algorithm has not been reset with an instance yet")
         if self._arrangement is None:
-            assert self._mutable is not None
             self._arrangement = self._mutable.snapshot()
         return self._arrangement
 
     def arrangement_view(self) -> ArrangementView:
         """A read-only positional view of the current arrangement.
 
-        Returns the live :class:`MutableArrangement` on the fast path (callers
-        must not mutate it) and the immutable arrangement otherwise.  Use this
-        instead of :attr:`current_arrangement` in per-step verification loops
-        to avoid materializing a snapshot on every step.
+        Returns the live :class:`MutableArrangement` (callers must not mutate
+        it).  Use this instead of :attr:`current_arrangement` in per-step
+        verification loops to avoid materializing a snapshot on every step.
         """
-        if self._initial_arrangement is None:
+        if self._mutable is None:
             raise ReproError("the algorithm has not been reset with an instance yet")
-        if self._mutable is not None:
-            return self._mutable
-        assert self._arrangement is not None
-        return self._arrangement
+        return self._mutable
 
     @property
     def initial_arrangement(self) -> Arrangement:
@@ -217,65 +173,34 @@ class OnlineMinLAAlgorithm(abc.ABC):
     # ------------------------------------------------------------------
     def process(self, step: RevealStep) -> UpdateRecord:
         """Handle one reveal step and return the cost record of the update."""
-        if self._initial_arrangement is None or self._forest is None:
+        if self._mutable is None:
             raise ReproError("the algorithm has not been reset with an instance yet")
-        if self._mutable is not None:
-            moving_cost, rearranging_cost, kendall_tau = self._handle_step_fast(
-                step, self._mutable
-            )
-            self._arrangement = None  # invalidate the snapshot cache
-            record = UpdateRecord(
-                step_index=self._step_index,
-                step=step,
-                moving_cost=moving_cost,
-                rearranging_cost=rearranging_cost,
-                kendall_tau=kendall_tau,
-            )
-        else:
-            previous = self.current_arrangement
-            moving_cost, rearranging_cost, new_arrangement = self._handle_step(step)
-            if new_arrangement.nodes != previous.nodes:
-                raise ReproError("an update must not change the node universe")
-            record = UpdateRecord(
-                step_index=self._step_index,
-                step=step,
-                moving_cost=moving_cost,
-                rearranging_cost=rearranging_cost,
-                kendall_tau=previous.kendall_tau(new_arrangement),
-            )
-            self._arrangement = new_arrangement
+        moving_cost, rearranging_cost, kendall_tau = self._handle_step_fast(
+            step, self._mutable
+        )
+        self._arrangement = None  # invalidate the snapshot cache
+        record = UpdateRecord(
+            step_index=self._step_index,
+            step=step,
+            moving_cost=moving_cost,
+            rearranging_cost=rearranging_cost,
+            kendall_tau=kendall_tau,
+        )
         self._step_index += 1
         return record
 
-    def _handle_step(self, step: RevealStep) -> "tuple[int, int, Arrangement]":
-        """Apply one reveal step through the classic immutable protocol.
-
-        Implementations must update their forest view, compute the new
-        arrangement and return ``(moving_cost, rearranging_cost,
-        new_arrangement)`` where the two costs count the adjacent swaps spent
-        in the respective phase of the update.
-
-        The default implementation delegates to :meth:`_handle_step_fast` on a
-        scratch mutable copy of the current arrangement, so fast-path
-        algorithms serve this protocol too.
-        """
-        scratch = MutableArrangement.from_arrangement(self.current_arrangement)
-        moving_cost, rearranging_cost, _ = self._handle_step_fast(step, scratch)
-        return moving_cost, rearranging_cost, scratch.snapshot()
-
+    @abc.abstractmethod
     def _handle_step_fast(
         self, step: RevealStep, arrangement: MutableArrangement
     ) -> Tuple[int, int, int]:
         """Apply one reveal step in place on ``arrangement``.
 
         Implementations must update their forest view, mutate ``arrangement``
-        and return ``(moving_cost, rearranging_cost, kendall_tau)`` where
+        and return ``(moving_cost, rearranging_cost, kendall_tau)`` where the
+        two costs count the adjacent swaps spent in the respective phase and
         ``kendall_tau`` is the exact Kendall-tau distance between the
         arrangement before and after the update.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} must implement _handle_step or _handle_step_fast"
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"{type(self).__name__}(name={self.name!r})"

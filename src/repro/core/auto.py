@@ -13,9 +13,9 @@ from __future__ import annotations
 import random
 from typing import Dict, Optional, Sequence, Tuple, Type
 
-from repro.core.algorithm import Node, OnlineMinLAAlgorithm
+from repro.core.algorithm import Forest, Node, OnlineMinLAAlgorithm
 from repro.core.cost import UpdateRecord
-from repro.core.permutation import Arrangement
+from repro.core.permutation import Arrangement, MutableArrangement
 from repro.core.rand_cliques import RandomizedCliqueLearner
 from repro.core.rand_lines import RandomizedLineLearner
 from repro.errors import ReproError
@@ -74,14 +74,22 @@ class KindDispatchingLearner(OnlineMinLAAlgorithm):
         return super().arrangement_view()
 
     @property
+    def forest(self) -> Forest:
+        if self._delegate is not None:
+            return self._delegate.forest
+        return super().forest
+
+    @property
     def delegate(self) -> OnlineMinLAAlgorithm:
         """The concrete algorithm chosen for the current run."""
         if self._delegate is None:
             raise ReproError("the algorithm has not been reset with an instance yet")
         return self._delegate
 
-    def _handle_step(self, step: RevealStep) -> Tuple[int, int, Arrangement]:
-        raise AssertionError("process() is fully delegated; _handle_step is never used")
+    def _handle_step_fast(
+        self, step: RevealStep, arrangement: MutableArrangement
+    ) -> Tuple[int, int, int]:
+        raise AssertionError("process() is fully delegated to the delegate")
 
 
 class AutoRandomizedLearner(KindDispatchingLearner):

@@ -61,11 +61,6 @@ class OptBounds:
     exact: bool
     """``True`` when ``lower == upper`` and both are certified, i.e. OPT is known."""
 
-    @property
-    def midpoint(self) -> float:
-        """A point estimate of OPT (midpoint of the bracket)."""
-        return (self.lower + self.upper) / 2.0
-
 
 # ----------------------------------------------------------------------
 # Laminar-consistent layouts for cliques

@@ -92,25 +92,6 @@ class Arrangement:
         instance._hash = hash(order)
         return instance
 
-    @classmethod
-    def from_positions(cls, positions: Dict[Node, int]) -> "Arrangement":
-        """Build an arrangement from a ``node -> position`` mapping.
-
-        The positions must be exactly ``0 … n-1`` with no gaps or repeats.
-        """
-        n = len(positions)
-        order: List[Node] = [None] * n  # type: ignore[list-item]
-        seen = [False] * n
-        # repro: allow[det003] — each entry fills a distinct slot; the result is order-independent
-        for node, pos in positions.items():
-            if not isinstance(pos, int) or pos < 0 or pos >= n:
-                raise ArrangementError(f"position {pos!r} of node {node!r} is out of range")
-            if seen[pos]:
-                raise ArrangementError(f"position {pos} assigned twice")
-            seen[pos] = True
-            order[pos] = node
-        return cls(order)
-
     # ------------------------------------------------------------------
     # Basic queries
     # ------------------------------------------------------------------
@@ -511,11 +492,6 @@ class MutableArrangement:
             raise ArrangementError("Kendall-tau distance requires identical node sets")
         labels = self._labels
         return count_inversions([other.position(labels[index]) for index in self._order])
-
-
-def kendall_tau_distance(first: Arrangement, second: Arrangement) -> int:
-    """Module-level convenience wrapper around :meth:`Arrangement.kendall_tau`."""
-    return first.kendall_tau(second)
 
 
 def random_arrangement(nodes: Iterable[Node], rng: random.Random) -> Arrangement:

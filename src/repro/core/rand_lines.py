@@ -163,24 +163,6 @@ class UnbiasedCoinLineLearner(RandomizedLineLearner):
         return 0.5
 
 
-class GreedyOrientationLineLearner(RandomizedLineLearner):
-    """Ablation: keep the biased moving coin but always pick the cheaper orientation.
-
-    Locally optimal, but the adversary can exploit the determinism of the
-    orientation choice; experiment E3 measures how much of the guarantee
-    survives.
-    """
-
-    name = "rand-lines-greedy-orientation"
-
-    def _forward_probability(self, forward_cost: int, backward_cost: int) -> float:
-        if forward_cost < backward_cost:
-            return 1.0
-        if forward_cost > backward_cost:
-            return 0.0
-        return 0.5
-
-
 class MoveSmallerLineLearner(RandomizedLineLearner):
     """Ablation: always move the smaller component, keep the biased orientation coin."""
 

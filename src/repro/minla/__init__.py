@@ -15,7 +15,6 @@ from repro.minla.closest import (
     best_internal_order,
     blocks_from_forest,
     closest_feasible_arrangement,
-    closest_minla_distance,
 )
 from repro.minla.cost import (
     linear_arrangement_cost,
@@ -45,7 +44,6 @@ __all__ = [
     "best_internal_order",
     "blocks_from_forest",
     "closest_feasible_arrangement",
-    "closest_minla_distance",
     "exact_minla_arrangement",
     "exact_minla_value",
     "greedy_insertion_arrangement",

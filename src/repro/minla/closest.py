@@ -623,15 +623,3 @@ def closest_feasible_arrangement(
     elif solver.pi0 != pi0:
         raise SolverError("the solver was built for another reference permutation")
     return solver.solve(blocks, method, max_exact_blocks)
-
-
-def closest_minla_distance(
-    pi0: Arrangement,
-    forest: Union[CliqueForest, LineForest],
-    method: str = "auto",
-    max_exact_blocks: int = DEFAULT_MAX_EXACT_BLOCKS,
-) -> ClosestResult:
-    """Convenience wrapper: closest MinLA of a forest's current graph to ``π_0``."""
-    return closest_feasible_arrangement(
-        pi0, blocks_from_forest(forest), method=method, max_exact_blocks=max_exact_blocks
-    )

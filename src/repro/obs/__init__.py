@@ -20,13 +20,11 @@ from repro.obs.profile import (
     add_work,
     count_work,
     merge_profiles,
-    merge_work,
     profile_zone,
     profiling,
     render_zone_table,
     reset_work_counters,
     set_profiler,
-    work_counter,
     work_delta,
     work_snapshot,
 )
@@ -39,11 +37,8 @@ from repro.obs.export import (
 )
 from repro.obs.registry import (
     LATENCY_BUCKET_EDGES,
-    Counter,
     FixedBucketHistogram,
-    Gauge,
     HistogramSnapshot,
-    MetricsRegistry,
     log_bucket_edges,
     merge_histograms,
 )
@@ -60,13 +55,10 @@ from repro.obs.spans import (
 
 __all__ = [
     "Clock",
-    "Counter",
     "FixedBucketHistogram",
-    "Gauge",
     "HistogramSnapshot",
     "LATENCY_BUCKET_EDGES",
     "ManualClock",
-    "MetricsRegistry",
     "MonotonicClock",
     "PROFILE_BUCKET_EDGES",
     "ProfileSnapshot",
@@ -84,7 +76,6 @@ __all__ = [
     "log_bucket_edges",
     "merge_histograms",
     "merge_profiles",
-    "merge_work",
     "metrics_jsonl_lines",
     "now",
     "profile_zone",
@@ -97,7 +88,6 @@ __all__ = [
     "set_clock",
     "set_profiler",
     "spans_jsonl_lines",
-    "work_counter",
     "work_delta",
     "work_snapshot",
     "write_metrics_jsonl",

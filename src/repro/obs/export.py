@@ -1,9 +1,8 @@
 """Exporters and process introspection: Prometheus text, JSONL, RSS.
 
-The exporters consume the plain mapping a
-:meth:`~repro.obs.registry.MetricsRegistry.snapshot` (or the serving
-layer's fleet-metrics helper) produces — ``int`` values render as
-counters, ``float`` values as gauges, and
+The exporters consume the plain name-to-value mapping that
+:func:`~repro.service.observation.fleet_metrics` produces — ``int`` values
+render as counters, ``float`` values as gauges, and
 :class:`~repro.obs.registry.HistogramSnapshot` values as Prometheus
 histograms with cumulative ``le`` buckets plus the standard ``_sum`` /
 ``_count`` series.  Output is name-sorted, so exports are byte-stable for

@@ -15,14 +15,14 @@ like costs (``runs compare`` holds counter drift to zero while timings
 keep a tolerance band).
 
 The counting discipline mirrors :class:`~repro.service.observation.ShardMetrics`:
-every thread writes into its *own* registry (single-writer, no locks on
-the hot path), registries self-register under a lock on first touch, and
-:func:`work_snapshot` merges them by exact integer addition — associative,
-commutative, order-independent.  Worker *processes* cannot be merged in
-place, so they ship :func:`work_delta` dicts home over their result
-queues (pool workers are reused across tasks, which is why deltas — not
-absolutes — cross the process boundary) and the parent folds them in with
-:func:`add_work`.
+every thread writes into its *own* ``dict[str, int]`` (single-writer, no
+locks on the hot path), the dicts self-register under a lock on first
+touch, and :func:`work_snapshot` merges them by exact integer addition —
+associative, commutative, order-independent.  Worker *processes* cannot be
+merged in place, so they ship :func:`work_delta` dicts home over their
+result queues (pool workers are reused across tasks, which is why deltas —
+not absolutes — cross the process boundary) and the parent folds them in
+with :func:`add_work`.
 
 **Zone timing** is opt-in and never bit-identical — it reads the clock
 (only through the :mod:`repro.obs.clock` seam, so ``ManualClock`` makes
@@ -52,10 +52,8 @@ from typing import ContextManager, Dict, Iterable, List, Mapping, Optional, Tupl
 from repro.errors import ObsError
 from repro.obs.clock import now as clock_now
 from repro.obs.registry import (
-    Counter,
     FixedBucketHistogram,
     HistogramSnapshot,
-    MetricsRegistry,
     log_bucket_edges,
     merge_histograms,
 )
@@ -71,38 +69,27 @@ PROFILE_BUCKET_EDGES: Tuple[float, ...] = log_bucket_edges(1e-6, 100.0, 5)
 # ---------------------------------------------------------------------------
 
 _work_lock = threading.Lock()
-#: Every thread's work registry, appended on first touch; merged (never
-#: mutated) by readers.  Guarded by ``_work_lock``.
-_work_registries: List[MetricsRegistry] = []
+#: Every thread's ``name -> count`` dict, appended on first touch; merged
+#: (never mutated) by readers.  Guarded by ``_work_lock``.
+_work_counts: List[Dict[str, int]] = []
 
 
 class _WorkLocal(threading.local):
-    """Each thread's private registry, self-registered for merging.
+    """Each thread's private counts, self-registered for merging.
 
-    ``counters`` caches ``name -> Counter`` so the hot-path increment is a
-    dict hit plus an integer add — no registry get-or-create per event.
-    The cache stays valid across :func:`reset_work_counters` because
-    resets zero the counter objects in place rather than replacing them.
+    The hot-path increment is one dict read and one dict write.  The dict
+    stays registered across :func:`reset_work_counters`, which zeroes its
+    values in place rather than replacing it.
     """
 
     def __init__(self) -> None:
-        registry = MetricsRegistry()
-        self.registry = registry
-        self.counters: Dict[str, Counter] = {}
+        counts: Dict[str, int] = {}
+        self.counts = counts
         with _work_lock:
-            _work_registries.append(registry)
+            _work_counts.append(counts)
 
 
 _work_local = _WorkLocal()
-
-
-def work_counter(name: str) -> Counter:
-    """Get-or-create the calling thread's counter for ``name``.
-
-    The returned :class:`Counter` is thread-private — never share it across
-    threads (single-writer is what makes the merge exact without locks).
-    """
-    return _work_local.registry.counter(name)
 
 
 def count_work(name: str, amount: int = 1) -> None:
@@ -112,32 +99,31 @@ def count_work(name: str, amount: int = 1) -> None:
     call sites pass pre-computed integers (a swap count, an element count)
     so the instrumentation itself never does per-element work.  The bench
     gate (``benchmarks/bench_profile.py``) holds this path within 5% of a
-    stubbed no-op, which is why it is a cached dict hit and an add — the
-    non-negativity contract is enforced at merge time, not per increment.
+    stubbed no-op, which is why it is a dict read and a write — the
+    non-negativity contract is enforced where deltas are folded in
+    (:func:`add_work`) and diffed (:func:`work_delta`), not per increment.
     """
-    local = _work_local
-    counter = local.counters.get(name)
-    if counter is None:
-        counter = local.registry.counter(name)
-        local.counters[name] = counter
-    counter.value += amount
+    counts = _work_local.counts
+    counts[name] = counts.get(name, 0) + amount
 
 
 def work_snapshot() -> Dict[str, int]:
     """Every work counter summed across threads, name-sorted.
 
-    Exact integer merge of the per-thread registries — order-independent,
-    so the result is bit-identical however threads interleaved.  Call at
+    Exact integer merge of the per-thread counts — order-independent, so
+    the result is bit-identical however threads interleaved.  Call at
     quiesce points (workers joined, or between runs): a mid-run read can
     see another thread's counter between increments, which is fine for
     live introspection but not for the determinism gate.
     """
     with _work_lock:
-        registries = list(_work_registries)
+        # dict() copies in one step, so a counting thread cannot change a
+        # dict while this loop reads it.
+        thread_counts = [dict(counts) for counts in _work_counts]
     total: Dict[str, int] = {}
-    for registry in registries:
-        for name, value in sorted(registry.snapshot().items()):
-            total[name] = total.get(name, 0) + int(value)
+    for counts in thread_counts:
+        for name, value in sorted(counts.items()):
+            total[name] = total.get(name, 0) + value
     return {name: total[name] for name in sorted(total)}
 
 
@@ -165,37 +151,35 @@ def work_delta(
 
 
 def add_work(delta: Mapping[str, int]) -> None:
-    """Fold a shipped :func:`work_delta` into the calling thread's registry.
+    """Fold a shipped :func:`work_delta` into the calling thread's counts.
 
     Used by the parent process to absorb work performed in pool or shard
     worker processes, so ``--jobs 4`` and the process fleet report the
-    same totals as the sequential path.
+    same totals as the sequential path.  A negative entry raises
+    :class:`~repro.errors.ObsError` before any counter changes: work
+    counters only move forward.
     """
-    registry = _work_local.registry
-    for name in sorted(delta):
-        registry.counter(name).inc(delta[name])
-
-
-def merge_work(parts: Iterable[Mapping[str, int]]) -> Dict[str, int]:
-    """Sum work dicts (exact, order-independent), dropping zero totals."""
-    total: Dict[str, int] = {}
-    for part in parts:
-        for name, value in sorted(part.items()):
-            total[name] = total.get(name, 0) + int(value)
-    return {name: total[name] for name in sorted(total) if total[name]}
+    names = sorted(delta)
+    for name in names:
+        if delta[name] < 0:
+            raise ObsError(
+                f"work counters only move forward, got {name!r} delta {delta[name]}"
+            )
+    counts = _work_local.counts
+    for name in names:
+        counts[name] = counts.get(name, 0) + int(delta[name])
 
 
 def reset_work_counters() -> None:
-    """Zero every registered work counter, in every thread's registry.
+    """Zero every registered work counter, in every thread's counts.
 
     Only safe when no other thread is counting (tests and bench baselines);
     the engine itself never resets — runs measure deltas instead.
     """
     with _work_lock:
-        registries = list(_work_registries)
-    for registry in registries:
-        for name in registry.snapshot():
-            registry.counter(name).value = 0
+        for counts in _work_counts:
+            for name in counts:
+                counts[name] = 0
 
 
 # ---------------------------------------------------------------------------

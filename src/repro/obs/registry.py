@@ -1,9 +1,8 @@
-"""The metrics registry: counters, gauges, fixed-bucket latency histograms.
+"""Fixed-bucket latency histograms and the metric values exporters read.
 
-The histogram is the load-bearing piece.  A served run used to keep one
-``ServeResult`` per request so percentiles could be exact — ``O(requests)``
-memory, the one thing that broke the stream architecture's boundedness.  A
-:class:`FixedBucketHistogram` replaces that with ``O(buckets)`` state:
+Exact percentiles would need one ``ServeResult`` per request —
+``O(requests)`` memory, which breaks the stream architecture's
+boundedness.  A :class:`FixedBucketHistogram` keeps ``O(buckets)`` state:
 
 * **edges are fixed at construction** (log-spaced by default, see
   :func:`log_bucket_edges`), so two histograms built from the same edges are
@@ -339,91 +338,7 @@ class FixedBucketHistogram:
         )
 
 
-class Counter:
-    """A monotonically increasing integer (requests served, reveals, ...)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ObsError(f"counters only move forward, got increment {amount}")
-        self.value += int(amount)
-
-
-class Gauge:
-    """A point-in-time float (queue depth, busy fraction, RSS bytes, ...)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-
-#: What a registry snapshot maps names to: counter value, gauge value, or a
-#: histogram snapshot.
+#: What a metrics mapping (see
+#: :func:`repro.service.observation.fleet_metrics`) holds per name: a counter
+#: value, a gauge value, or a histogram snapshot.
 MetricValue = Union[int, float, HistogramSnapshot]
-
-
-class MetricsRegistry:
-    """A named collection of metrics with get-or-create accessors.
-
-    The registry is the unit exporters consume: :meth:`snapshot` returns a
-    name-sorted mapping (deterministic output order regardless of creation
-    order) of plain values and histogram snapshots.
-    """
-
-    def __init__(self) -> None:
-        self._metrics: Dict[str, object] = {}
-
-    def _get_or_create(self, name: str, kind: type, factory) -> object:
-        if not name:
-            raise ObsError("metric names must be non-empty")
-        existing = self._metrics.get(name)
-        if existing is None:
-            created = factory()
-            self._metrics[name] = created
-            return created
-        if not isinstance(existing, kind):
-            raise ObsError(
-                f"metric {name!r} is already registered as a "
-                f"{type(existing).__name__}, not a {kind.__name__}"
-            )
-        return existing
-
-    def counter(self, name: str) -> Counter:
-        return self._get_or_create(name, Counter, Counter)
-
-    def gauge(self, name: str) -> Gauge:
-        return self._get_or_create(name, Gauge, Gauge)
-
-    def histogram(
-        self, name: str, edges: Sequence[float] = LATENCY_BUCKET_EDGES
-    ) -> FixedBucketHistogram:
-        histogram = self._get_or_create(
-            name, FixedBucketHistogram, lambda: FixedBucketHistogram(edges)
-        )
-        if histogram.edges != _validate_edges(edges):
-            raise ObsError(
-                f"histogram {name!r} is already registered with different edges"
-            )
-        return histogram
-
-    def snapshot(self) -> Dict[str, MetricValue]:
-        """Every metric's current value, keyed by name, name-sorted."""
-        values: Dict[str, MetricValue] = {}
-        for name in sorted(self._metrics):
-            metric = self._metrics[name]
-            if isinstance(metric, Counter):
-                values[name] = metric.value
-            elif isinstance(metric, Gauge):
-                values[name] = metric.value
-            else:
-                assert isinstance(metric, FixedBucketHistogram)
-                values[name] = metric.snapshot()
-        return values

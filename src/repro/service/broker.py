@@ -354,7 +354,6 @@ class _ThreadFleet:
         on_result: Optional[Callable[[ServeResult], None]],
         retain_results: bool = True,
         span_sampler: Optional[SpanSampler] = None,
-        span_max: int = 256,
         metrics_interval: Optional[float] = None,
     ) -> None:
         del metrics_interval  # threads share the heap: snapshots are free
@@ -375,7 +374,7 @@ class _ThreadFleet:
                 spans=(
                     None
                     if span_sampler is None or span_sampler.rate <= 0.0
-                    else SpanCollector(span_sampler, span_max)
+                    else SpanCollector(span_sampler)
                 ),
                 retain_results=retain_results,
             )
@@ -480,8 +479,8 @@ class ArrangementService:
     ``retain_results=False`` additionally drops the per-request
     :class:`ServeResult` lists, making a deployment O(1) memory in the
     request count (the soak mode); :meth:`drain` then returns ``[]``.
-    ``span_rate``/``span_seed``/``span_max`` turn on deterministic
-    head-sampled span tracing (:mod:`repro.obs.spans`);
+    ``span_rate``/``span_seed`` turn on deterministic head-sampled span
+    tracing (:mod:`repro.obs.spans`), keeping at most 256 traces per shard;
     ``metrics_interval`` makes process-backend workers ship periodic
     metrics snapshots for live introspection (threads are always live).
     """
@@ -502,7 +501,6 @@ class ArrangementService:
         retain_results: bool = True,
         span_rate: float = 0.0,
         span_seed: object = 0,
-        span_max: int = 256,
         metrics_interval: Optional[float] = None,
     ) -> None:
         if not engines:
@@ -532,10 +530,8 @@ class ArrangementService:
                 f"metrics interval must be positive (or None), "
                 f"got {metrics_interval}"
             )
-        # Validates span_rate/span_max up front, for both backends.
+        # Validates span_rate up front, for both backends.
         span_sampler = SpanSampler(span_seed, span_rate)
-        if span_max < 1:
-            raise ServiceError(f"span_max must be positive, got {span_max}")
         self._engines = list(engines)
         self._partition = partition
         self.backend = backend
@@ -555,7 +551,6 @@ class ArrangementService:
                 on_result,
                 retain_results=retain_results,
                 span_sampler=span_sampler,
-                span_max=span_max,
                 metrics_interval=metrics_interval,
             )
         else:
@@ -567,7 +562,6 @@ class ArrangementService:
                 on_result,
                 retain_results=retain_results,
                 span_sampler=span_sampler,
-                span_max=span_max,
                 metrics_interval=metrics_interval,
             )
         self._node_to_shard = partition.node_to_shard

@@ -45,7 +45,6 @@ from repro.errors import ServiceError
 from repro.graphs.components import DisjointSetForest
 from repro.graphs.line_forest import LineForest
 from repro.graphs.reveal import GraphKind, RevealStep
-from repro.telemetry.trace import CostTrace, TraceRecorder
 from repro.vnet.distance_cache import SlotDistanceCache
 from repro.vnet.embedding import Embedding
 from repro.vnet.topology import LinearDatacenter
@@ -74,7 +73,6 @@ class ShardReport:
     migration_swaps: int
     migration_cost: float
     communication_cost: float
-    trace: Optional[CostTrace] = None
 
     @property
     def total_cost(self) -> float:
@@ -103,9 +101,6 @@ class ShardEngine:
     initial_arrangement:
         Starting permutation over exactly ``nodes`` (defaults to universe
         order).
-    trace_every:
-        When set, learner updates are recorded as a downsampled
-        :class:`~repro.telemetry.trace.CostTrace` on the shard report.
     """
 
     def __init__(
@@ -117,7 +112,6 @@ class ShardEngine:
         rng: Optional[random.Random] = None,
         datacenter: Optional[LinearDatacenter] = None,
         initial_arrangement: Optional[Arrangement] = None,
-        trace_every: Optional[int] = None,
     ) -> None:
         if not nodes:
             raise ServiceError(f"shard {shard_index} has an empty node universe")
@@ -151,9 +145,6 @@ class ShardEngine:
             LineForest(self._nodes) if kind is GraphKind.LINES else None
         )
         self._ledger = CostLedger()
-        self._recorder = (
-            TraceRecorder(every=trace_every) if trace_every is not None else None
-        )
         if datacenter is not None:
             embedding = Embedding(datacenter, arrangement)
             self._datacenter: Optional[LinearDatacenter] = datacenter
@@ -214,8 +205,6 @@ class ShardEngine:
             self._line_view.add_edge(u, v)
         record = self._learner.process(RevealStep(u, v))
         self._ledger.add(record)
-        if self._recorder is not None:
-            self._recorder.record_update(record)
         self._components.union(u, v)
         return record.total_cost
 
@@ -259,5 +248,4 @@ class ShardEngine:
             migration_swaps=swaps,
             migration_cost=migration_cost,
             communication_cost=self._communication,
-            trace=self._recorder.as_trace() if self._recorder is not None else None,
         )

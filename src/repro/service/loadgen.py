@@ -125,12 +125,8 @@ def resolve_backend(backend: Optional[str] = None) -> str:
     return backend
 
 
-def _restrict_arrangement(
-    arrangement: Optional[Arrangement], nodes: Sequence
-) -> Optional[Arrangement]:
+def _restrict_arrangement(arrangement: Arrangement, nodes: Sequence) -> Arrangement:
     """Restrict a global arrangement to one shard, preserving relative order."""
-    if arrangement is None:
-        return None
     return Arrangement(sorted(nodes, key=arrangement.position))
 
 
@@ -142,15 +138,11 @@ def build_traffic_service(
     batch_size: int = 1,
     batch_timeout: Optional[float] = None,
     queue_capacity: int = 1024,
-    initial_arrangement: Optional[Arrangement] = None,
     partition: Optional[ShardPartition] = None,
-    trace_every: Optional[int] = None,
     on_result: Optional[Callable[[ServeResult], None]] = None,
     backend: Optional[str] = None,
     retain_results: bool = True,
     span_rate: float = 0.0,
-    span_seed: Optional[object] = None,
-    span_max: int = 256,
     metrics_interval: Optional[float] = None,
 ) -> ArrangementService:
     """Deploy a stream-serving service (not yet started).
@@ -162,9 +154,9 @@ def build_traffic_service(
     ``backend`` picks the worker runtime (see :func:`resolve_backend`).
     The observability knobs (``retain_results`` / ``span_rate`` /
     ``metrics_interval``) pass straight through to
-    :class:`~repro.service.broker.ArrangementService`; ``span_seed``
-    defaults to the serving ``seed`` so traces are reproducible without
-    extra configuration.
+    :class:`~repro.service.broker.ArrangementService`; spans are sampled
+    with the serving ``seed``, so traces are reproducible without extra
+    configuration.
     """
     if stream.kind is None:
         raise ServiceError(
@@ -181,8 +173,6 @@ def build_traffic_service(
             learner_factory=learner_factory(stream.kind, learner),
             rng=shard_rng(seed, index),
             datacenter=LinearDatacenter(len(nodes)),
-            initial_arrangement=_restrict_arrangement(initial_arrangement, nodes),
-            trace_every=trace_every,
         )
         for index, nodes in enumerate(partition.shard_nodes)
     ]
@@ -196,8 +186,7 @@ def build_traffic_service(
         backend=resolve_backend(backend),
         retain_results=retain_results,
         span_rate=span_rate,
-        span_seed=seed if span_seed is None else span_seed,
-        span_max=span_max,
+        span_seed=seed,
         metrics_interval=metrics_interval,
     )
 
@@ -214,8 +203,6 @@ def build_reveal_service(
     backend: Optional[str] = None,
     retain_results: bool = True,
     span_rate: float = 0.0,
-    span_seed: Optional[int] = None,
-    span_max: int = 256,
     metrics_interval: Optional[float] = None,
 ) -> ArrangementService:
     """Deploy a reveal-serving service over one online MinLA instance.
@@ -251,8 +238,7 @@ def build_reveal_service(
         backend=resolve_backend(backend),
         retain_results=retain_results,
         span_rate=span_rate,
-        span_seed=seed if span_seed is None else span_seed,
-        span_max=span_max,
+        span_seed=seed,
         metrics_interval=metrics_interval,
     )
 

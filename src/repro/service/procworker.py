@@ -93,7 +93,6 @@ def _worker_main(
     batch_timeout: Optional[float],
     ship_results: bool = True,
     span_sampler: Optional[SpanSampler] = None,
-    span_max: int = 256,
     metrics_interval: Optional[float] = None,
 ) -> None:
     """One shard's worker process: :func:`serve_shard` plus the result pipe.
@@ -112,7 +111,7 @@ def _worker_main(
     spans = (
         None
         if span_sampler is None or span_sampler.rate <= 0.0
-        else SpanCollector(span_sampler, span_max)
+        else SpanCollector(span_sampler)
     )
     after_batch = None
     if metrics_interval is not None:
@@ -263,7 +262,6 @@ class ProcessShardFleet:
         on_result: Optional[Callable[[ServeResult], None]],
         retain_results: bool = True,
         span_sampler: Optional[SpanSampler] = None,
-        span_max: int = 256,
         metrics_interval: Optional[float] = None,
     ) -> None:
         self._engines = list(engines)
@@ -294,7 +292,6 @@ class ProcessShardFleet:
                     batch_timeout,
                     ship_results,
                     span_sampler,
-                    span_max,
                     metrics_interval,
                 ),
                 name=f"repro-serve-proc-{engine.shard_index}",

@@ -51,6 +51,17 @@ class TestKindDispatchingLearner:
         assert auto_result.total_cost == direct_result.total_cost
         assert auto_result.final_arrangement == direct_result.final_arrangement
 
+    @pytest.mark.parametrize(
+        "generate", [random_clique_merge_sequence, random_line_sequence]
+    )
+    def test_forest_is_the_delegates_revealed_graph(self, generate):
+        rng = random.Random(6)
+        instance = OnlineMinLAInstance.with_random_start(generate(8, rng), rng)
+        learner = AutoRandomizedLearner()
+        run_online(learner, instance, rng=random.Random(7))
+        assert learner.forest is learner.delegate.forest
+        assert learner.forest.num_components == 1
+
     def test_delegate_before_reset_rejected(self):
         learner = AutoRandomizedLearner()
         with pytest.raises(ReproError):

@@ -16,7 +16,7 @@ from repro.graphs.generators import (
     random_line_sequence,
 )
 from repro.graphs.reveal import CliqueRevealSequence, LineRevealSequence
-from repro.minla.closest import closest_minla_distance
+from repro.minla.closest import blocks_from_forest, closest_feasible_arrangement
 
 
 class TestDetBehaviour:
@@ -82,8 +82,8 @@ class TestDetBehaviour:
         sequence = CliqueRevealSequence.from_pairs(range(4), [(0, 1)])
         instance = OnlineMinLAInstance.with_identity_start(sequence)
         result = run_online(DeterministicClosestLearner(), instance)
-        closest = closest_minla_distance(
-            instance.initial_arrangement, sequence.final_forest()
+        closest = closest_feasible_arrangement(
+            instance.initial_arrangement, blocks_from_forest(sequence.final_forest())
         )
         assert closest.exact
         assert result.final_arrangement == closest.arrangement

@@ -15,7 +15,6 @@ from repro.minla.closest import (
     best_internal_order,
     blocks_from_forest,
     closest_feasible_arrangement,
-    closest_minla_distance,
 )
 
 
@@ -202,12 +201,12 @@ class TestForestConvenience:
         assert len(path_blocks) == 1
         assert path_blocks[0].kind is BlockKind.PATH
 
-    def test_closest_minla_distance_wrapper(self):
+    def test_closest_arrangement_of_a_forest(self):
         rng = random.Random(0)
         pi0 = random_arrangement(range(6), rng)
         forest = CliqueForest(range(6))
         forest.merge(0, 1)
         forest.merge(0, 2)
-        result = closest_minla_distance(pi0, forest)
+        result = closest_feasible_arrangement(pi0, blocks_from_forest(forest))
         assert result.distance == pi0.kendall_tau(result.arrangement)
         assert result.arrangement.is_contiguous({0, 1, 2})

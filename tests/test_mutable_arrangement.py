@@ -8,9 +8,9 @@ Two layers are covered:
   order, at a swap count equal to the Kendall-tau distance, on seeded random
   block layouts; a merged path's layout is priced by ``Rand``'s closed form
   :func:`~repro.core.rand_lines.forward_layout_cost`;
-* the fast-path online algorithms must produce step-by-step identical cost
-  records, Kendall-tau distances and final arrangements as the classic
-  immutable protocol (forced via a subclass overriding ``_handle_step``).
+* the online algorithms' in-place updates must report the Kendall-tau
+  distance the simulator measures, step by step, and keep trajectory
+  snapshots consistent with it.
 """
 
 import itertools
@@ -18,14 +18,13 @@ import random
 
 import pytest
 
-from repro.core.det import DeterministicClosestLearner
 from repro.core.instance import OnlineMinLAInstance
 from repro.core.permutation import Arrangement, MutableArrangement
 from repro.core.rand_cliques import RandomizedCliqueLearner
-from repro.core.rand_lines import RandomizedLineLearner, forward_layout_cost
+from repro.core.rand_lines import forward_layout_cost
 from repro.core.simulator import run_online
 from repro.errors import ArrangementError
-from repro.graphs.generators import random_clique_merge_sequence, random_line_sequence
+from repro.graphs.generators import random_clique_merge_sequence
 
 
 def _random_disjoint_spans(rng: random.Random, n: int):
@@ -210,80 +209,16 @@ class TestBlockOperationEquivalence:
         class NoHandlers(OnlineMinLAAlgorithm):
             pass
 
-        with pytest.raises(TypeError, match="_handle_step"):
+        with pytest.raises(TypeError, match="_handle_step_fast"):
             NoHandlers()
         with pytest.raises(TypeError):
             OnlineMinLAAlgorithm()
 
 
-class _SlowPathMixin:
-    """Force the classic immutable protocol through the base-class shim."""
-
-    def _handle_step(self, step):
-        return super()._handle_step(step)
-
-
-class SlowRandCliques(_SlowPathMixin, RandomizedCliqueLearner):
-    pass
-
-
-class SlowRandLines(_SlowPathMixin, RandomizedLineLearner):
-    pass
-
-
-class SlowDet(_SlowPathMixin, DeterministicClosestLearner):
-    pass
-
-
-def _records(result):
-    return [
-        (r.step_index, r.moving_cost, r.rearranging_cost, r.kendall_tau)
-        for r in result.ledger
-    ]
-
-
-class TestFastPathMatchesSlowPath:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_rand_cliques(self, seed):
-        rng = random.Random(seed)
-        sequence = random_clique_merge_sequence(24, rng)
-        instance = OnlineMinLAInstance.with_random_start(sequence, rng)
-        fast = run_online(
-            RandomizedCliqueLearner(), instance, rng=random.Random(seed), verify=True
-        )
-        slow = run_online(
-            SlowRandCliques(), instance, rng=random.Random(seed), verify=True
-        )
-        assert _records(fast) == _records(slow)
-        assert fast.final_arrangement == slow.final_arrangement
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_rand_lines(self, seed):
-        rng = random.Random(seed)
-        sequence = random_line_sequence(20, rng)
-        instance = OnlineMinLAInstance.with_random_start(sequence, rng)
-        fast = run_online(
-            RandomizedLineLearner(), instance, rng=random.Random(seed), verify=True
-        )
-        slow = run_online(
-            SlowRandLines(), instance, rng=random.Random(seed), verify=True
-        )
-        assert _records(fast) == _records(slow)
-        assert fast.final_arrangement == slow.final_arrangement
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_det(self, seed):
-        rng = random.Random(seed)
-        sequence = random_clique_merge_sequence(10, rng)
-        instance = OnlineMinLAInstance.with_random_start(sequence, rng)
-        fast = run_online(DeterministicClosestLearner(), instance, verify=True)
-        slow = run_online(SlowDet(), instance, verify=True)
-        assert _records(fast) == _records(slow)
-        assert fast.final_arrangement == slow.final_arrangement
-
+class TestReportedKendallTau:
     def test_misreported_kendall_tau_is_caught_independently(self):
         """The simulator measures the distance itself; it must not trust the
-        fast path's self-reported Kendall-tau."""
+        learner's self-reported Kendall-tau."""
         from repro.errors import ReproError
 
         class LyingKendallTau(RandomizedCliqueLearner):
@@ -299,7 +234,7 @@ class TestFastPathMatchesSlowPath:
         with pytest.raises(ReproError, match="measured Kendall-tau"):
             run_online(LyingKendallTau(), instance, rng=random.Random(1))
 
-    def test_trajectory_snapshots_still_available_on_fast_path(self):
+    def test_trajectory_snapshots_match_reported_kendall_tau(self):
         rng = random.Random(1)
         sequence = random_clique_merge_sequence(8, rng)
         instance = OnlineMinLAInstance.with_random_start(sequence, rng)

@@ -30,12 +30,9 @@ import pytest
 from repro.errors import ObsError
 from repro.obs import (
     LATENCY_BUCKET_EDGES,
-    Counter,
     FixedBucketHistogram,
-    Gauge,
     HistogramSnapshot,
     ManualClock,
-    MetricsRegistry,
     MonotonicClock,
     SPAN_NAMES,
     SpanCollector,
@@ -272,52 +269,6 @@ class TestMergeSemantics:
         snapshot = histogram.snapshot()
         assert snapshot.count == 3
         assert snapshot.min == 2.0 and snapshot.max == 800.0
-
-
-# ----------------------------------------------------------------------
-# Counters, gauges, the registry
-# ----------------------------------------------------------------------
-class TestRegistry:
-    def test_counters_only_move_forward(self):
-        counter = Counter()
-        counter.inc()
-        counter.inc(5)
-        assert counter.value == 6
-        with pytest.raises(ObsError, match="only move forward"):
-            counter.inc(-1)
-
-    def test_gauge_holds_the_last_value_set(self):
-        gauge = Gauge()
-        gauge.set(3.0)
-        gauge.set(0.5)
-        assert gauge.value == 0.5
-
-    def test_registry_get_or_create_returns_the_same_metric(self):
-        registry = MetricsRegistry()
-        assert registry.counter("served") is registry.counter("served")
-        assert registry.histogram("lat", EDGES) is registry.histogram("lat", EDGES)
-
-    def test_registry_rejects_kind_and_edge_conflicts(self):
-        registry = MetricsRegistry()
-        registry.counter("served")
-        with pytest.raises(ObsError, match="already registered as"):
-            registry.gauge("served")
-        registry.histogram("lat", EDGES)
-        with pytest.raises(ObsError, match="different edges"):
-            registry.histogram("lat", (1.0, 2.0))
-        with pytest.raises(ObsError, match="non-empty"):
-            registry.counter("")
-
-    def test_snapshot_is_name_sorted_and_typed(self):
-        registry = MetricsRegistry()
-        registry.histogram("zeta", EDGES).record(2.0)
-        registry.counter("alpha").inc(3)
-        registry.gauge("mid").set(0.25)
-        snapshot = registry.snapshot()
-        assert list(snapshot) == ["alpha", "mid", "zeta"]
-        assert snapshot["alpha"] == 3
-        assert snapshot["mid"] == 0.25
-        assert isinstance(snapshot["zeta"], HistogramSnapshot)
 
 
 # ----------------------------------------------------------------------

@@ -23,9 +23,9 @@ from repro.obs.clock import ManualClock, set_clock
 from repro.obs.profile import (
     ProfileSnapshot,
     ZoneProfiler,
+    add_work,
     count_work,
     merge_profiles,
-    merge_work,
     profile_zone,
     profiling,
     render_zone_table,
@@ -90,12 +90,20 @@ class TestWorkCounters:
         with pytest.raises(ObsError, match="backwards"):
             work_delta({"a": 5}, {"a": 4})
 
-    def test_merge_work_is_order_independent(self):
-        parts = [{"a": 1, "b": 2}, {"a": 3}, {"b": 4, "c": 5}]
-        merged = merge_work(parts)
-        assert merged == {"a": 4, "b": 6, "c": 5}
-        assert merge_work(reversed(parts)) == merged
-        assert list(merged) == sorted(merged)
+    def test_add_work_folds_a_delta_into_the_snapshot(self):
+        before = work_snapshot()
+        add_work({"test.profile.added": 4, "test.profile.also": 1})
+        add_work({"test.profile.added": 3})
+        assert work_delta(before, work_snapshot()) == {
+            "test.profile.added": 7,
+            "test.profile.also": 1,
+        }
+
+    def test_add_work_rejects_a_negative_delta(self):
+        before = work_snapshot()
+        with pytest.raises(ObsError, match="only move forward"):
+            add_work({"test.profile.ok": 2, "x": -1})
+        assert work_delta(before, work_snapshot()) == {}
 
     def test_run_trials_counters_bit_identical_across_jobs(self):
         instance = _clique_instance()

@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.instance import OnlineMinLAInstance
 from repro.core.rand_lines import (
-    GreedyOrientationLineLearner,
     MoveSmallerLineLearner,
     RandomizedLineLearner,
     UnbiasedCoinLineLearner,
@@ -92,19 +91,6 @@ class TestFigure2Probabilities:
         pairs_total = (size_x + size_z) * (size_x + size_z - 1) // 2
         theoretical = (size_x * size_z + pairs_z) / pairs_total
         assert abs(reversed_x_in_place / trials - theoretical) < 0.05
-
-    def test_greedy_orientation_always_picks_cheaper_option(self):
-        instance, x_nodes, z_nodes = figure2_instance(3, 2)
-        outcomes = set()
-        for trial in range(10):
-            result = run_online(
-                GreedyOrientationLineLearner(), instance, rng=random.Random(trial), verify=False
-            )
-            outcomes.add(result.final_arrangement.order)
-        assert len(outcomes) == 1
-        final = next(iter(outcomes))
-        # Reversing X (cost 3) is cheaper than swapping and reversing Z (cost 7).
-        assert final == ("x2", "x1", "x0", "z0", "z1")
 
     def test_unbiased_variant_is_feasible(self):
         rng = random.Random(6)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.algorithm import OnlineMinLAAlgorithm
 from repro.core.instance import OnlineMinLAInstance
-from repro.core.permutation import Arrangement
+from repro.core.permutation import Arrangement, MutableArrangement
 from repro.core.rand_cliques import RandomizedCliqueLearner
 from repro.core.rand_lines import RandomizedLineLearner
 from repro.core.simulator import expected_cost, run_online, run_trials
@@ -22,13 +22,15 @@ class DoNothingAlgorithm(OnlineMinLAAlgorithm):
 
     name = "do-nothing"
 
-    def _handle_step(self, step: RevealStep) -> Tuple[int, int, Arrangement]:
+    def _handle_step_fast(
+        self, step: RevealStep, arrangement: MutableArrangement
+    ) -> Tuple[int, int, int]:
         forest = self.forest
         if isinstance(forest, CliqueForest):
             forest.merge(step.u, step.v)
         else:
             forest.add_edge(step.u, step.v)
-        return 0, 0, self.current_arrangement
+        return 0, 0, 0
 
 
 class UnderReportingAlgorithm(RandomizedCliqueLearner):
@@ -36,9 +38,9 @@ class UnderReportingAlgorithm(RandomizedCliqueLearner):
 
     name = "under-reporting"
 
-    def _handle_step(self, step: RevealStep):
-        _, _, arrangement = super()._handle_step(step)
-        return 0, 0, arrangement
+    def _handle_step_fast(self, step: RevealStep, arrangement: MutableArrangement):
+        _, _, kendall_tau = super()._handle_step_fast(step, arrangement)
+        return 0, 0, kendall_tau
 
 
 class TestRunOnline:
@@ -75,7 +77,7 @@ class TestRunOnline:
         # Use an initial permutation that forces at least one non-trivial move.
         sequence = random_clique_merge_sequence(8, rng)
         instance = OnlineMinLAInstance.with_random_start(sequence, rng)
-        with pytest.raises(ReproError):
+        with pytest.raises(ReproError, match="reported 0 swaps"):
             run_online(UnderReportingAlgorithm(), instance, rng=random.Random(5))
 
     def test_verification_can_be_disabled(self):
