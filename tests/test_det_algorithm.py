@@ -89,6 +89,29 @@ class TestDetBehaviour:
         assert result.final_arrangement == closest.arrangement
         assert result.total_cost == closest.distance
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("kind", ["cliques", "lines"])
+    def test_every_step_matches_a_fresh_closest_solve(self, kind, seed):
+        # Det keeps one solver across a run; after every reveal its distance
+        # to pi0 must equal an exact solve from scratch on that prefix.
+        rng = random.Random(20 + seed)
+        if kind == "cliques":
+            sequence = random_clique_merge_sequence(9, rng)
+        else:
+            sequence = random_line_sequence(9, rng)
+        instance = OnlineMinLAInstance.with_random_start(sequence, rng)
+        pi0 = instance.initial_arrangement
+        result = run_online(
+            DeterministicClosestLearner(), instance, record_trajectory=True
+        )
+        assert result.arrangements is not None
+        for step_count, arrangement in enumerate(result.arrangements[1:], start=1):
+            fresh = closest_feasible_arrangement(
+                pi0, blocks_from_forest(sequence.forest_after(step_count))
+            )
+            assert fresh.exact
+            assert pi0.kendall_tau(arrangement) == fresh.distance
+
     def test_line_reveal_keeps_path_order(self):
         sequence = LineRevealSequence.from_pairs(range(4), [(0, 1), (1, 2), (2, 3)])
         rng = random.Random(5)

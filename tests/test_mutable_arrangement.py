@@ -8,9 +8,10 @@ Two layers are covered:
   order, at a swap count equal to the Kendall-tau distance, on seeded random
   block layouts; a merged path's layout is priced by ``Rand``'s closed form
   :func:`~repro.core.rand_lines.forward_layout_cost`;
-* the online algorithms' in-place updates must report the Kendall-tau
-  distance the simulator measures, step by step, and keep trajectory
-  snapshots consistent with it.
+* the online algorithms' in-place updates must report, step by step, the
+  Kendall-tau distance between consecutive trajectory snapshots, spend
+  exactly that many swaps across the moving and rearranging phases, and
+  replay identically from the same seed.
 """
 
 import itertools
@@ -18,13 +19,14 @@ import random
 
 import pytest
 
+from repro.core.det import DeterministicClosestLearner
 from repro.core.instance import OnlineMinLAInstance
 from repro.core.permutation import Arrangement, MutableArrangement
 from repro.core.rand_cliques import RandomizedCliqueLearner
-from repro.core.rand_lines import forward_layout_cost
+from repro.core.rand_lines import RandomizedLineLearner, forward_layout_cost
 from repro.core.simulator import run_online
 from repro.errors import ArrangementError
-from repro.graphs.generators import random_clique_merge_sequence
+from repro.graphs.generators import random_clique_merge_sequence, random_line_sequence
 
 
 def _random_disjoint_spans(rng: random.Random, n: int):
@@ -213,6 +215,61 @@ class TestBlockOperationEquivalence:
             NoHandlers()
         with pytest.raises(TypeError):
             OnlineMinLAAlgorithm()
+
+
+def _records(result):
+    return [
+        (r.step_index, r.moving_cost, r.rearranging_cost, r.kendall_tau)
+        for r in result.ledger
+    ]
+
+
+def _assert_in_place_run_matches_snapshots(make_learner, instance, seed):
+    """Each record's distance is the snapshots' distance and its swap count;
+    a second run from the same seed reproduces every record."""
+    result = run_online(
+        make_learner(),
+        instance,
+        rng=random.Random(seed),
+        verify=True,
+        record_trajectory=True,
+    )
+    assert result.arrangements is not None
+    assert result.arrangements[0] == instance.initial_arrangement
+    assert result.arrangements[-1] == result.final_arrangement
+    for before, after, record in zip(
+        result.arrangements, result.arrangements[1:], result.ledger
+    ):
+        assert before.kendall_tau(after) == record.kendall_tau
+        assert record.moving_cost + record.rearranging_cost == record.kendall_tau
+    replay = run_online(make_learner(), instance, rng=random.Random(seed), verify=True)
+    assert _records(replay) == _records(result)
+    assert replay.final_arrangement == result.final_arrangement
+
+
+class TestInPlaceUpdatesMatchSnapshots:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rand_cliques(self, seed):
+        rng = random.Random(seed)
+        sequence = random_clique_merge_sequence(24, rng)
+        instance = OnlineMinLAInstance.with_random_start(sequence, rng)
+        _assert_in_place_run_matches_snapshots(RandomizedCliqueLearner, instance, seed)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rand_lines(self, seed):
+        rng = random.Random(seed)
+        sequence = random_line_sequence(20, rng)
+        instance = OnlineMinLAInstance.with_random_start(sequence, rng)
+        _assert_in_place_run_matches_snapshots(RandomizedLineLearner, instance, seed)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_det(self, seed):
+        rng = random.Random(seed)
+        sequence = random_clique_merge_sequence(10, rng)
+        instance = OnlineMinLAInstance.with_random_start(sequence, rng)
+        _assert_in_place_run_matches_snapshots(
+            DeterministicClosestLearner, instance, seed
+        )
 
 
 class TestReportedKendallTau:

@@ -29,6 +29,7 @@ from repro.obs.profile import (
     profile_zone,
     profiling,
     render_zone_table,
+    reset_work_counters,
     work_delta,
     work_snapshot,
 )
@@ -104,6 +105,34 @@ class TestWorkCounters:
         with pytest.raises(ObsError, match="only move forward"):
             add_work({"test.profile.ok": 2, "x": -1})
         assert work_delta(before, work_snapshot()) == {}
+
+    def test_snapshot_and_delta_are_name_sorted(self):
+        before = work_snapshot()
+        count_work("test.profile.zeta", 2)
+        count_work("test.profile.alpha")
+        after = work_snapshot()
+        assert list(after) == sorted(after)
+        delta = work_delta(before, after)
+        assert list(delta) == ["test.profile.alpha", "test.profile.zeta"]
+        assert delta == {"test.profile.alpha": 1, "test.profile.zeta": 2}
+
+    def test_added_deltas_sum_in_any_order(self):
+        parts = [{"test.profile.a": 1, "test.profile.b": 2}, {"test.profile.a": 3}]
+        totals = []
+        for ordered in (parts, list(reversed(parts))):
+            before = work_snapshot()
+            for part in ordered:
+                add_work(part)
+            totals.append(work_delta(before, work_snapshot()))
+        assert totals[0] == totals[1] == {"test.profile.a": 4, "test.profile.b": 2}
+
+    def test_reset_zeroes_a_finished_threads_counts(self):
+        thread = threading.Thread(target=count_work, args=("test.profile.gone", 5))
+        thread.start()
+        thread.join()
+        assert work_snapshot()["test.profile.gone"] >= 5
+        reset_work_counters()
+        assert all(value == 0 for value in work_snapshot().values())
 
     def test_run_trials_counters_bit_identical_across_jobs(self):
         instance = _clique_instance()
