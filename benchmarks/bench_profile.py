@@ -31,9 +31,9 @@ import repro.vnet.distance_cache
 from repro.core.instance import OnlineMinLAInstance
 from repro.core.rand_cliques import RandomizedCliqueLearner
 from repro.core.simulator import run_trials
-from repro.graphs.generators import random_clique_merge_sequence
 from repro.obs.clock import Clock, set_clock
 from repro.obs.profile import active_profiler, profile_zone, work_snapshot
+from repro.workloads.generation import random_clique_merge_sequence
 
 #: The ISSUE's acceptance bound: always-on counting may cost at most 5%.
 MIN_THROUGHPUT_RATIO = 0.95

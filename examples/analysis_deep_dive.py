@@ -35,7 +35,7 @@ from repro.core.opt import offline_optimum_bounds
 from repro.core.rand_cliques import RandomizedCliqueLearner
 from repro.core.simulator import run_online, run_trials
 from repro.experiments.charts import horizontal_bar_chart, sparkline
-from repro.graphs.generators import random_clique_merge_sequence
+from repro.workloads.generation import random_clique_merge_sequence
 
 
 def main(num_nodes: int = 24, seed: int = 0) -> None:

@@ -79,19 +79,11 @@ from repro.graphs import (
     LineRevealSequence,
     RevealSequence,
     RevealStep,
-    balanced_clique_merge_sequence,
-    growing_clique_sequence,
-    pipeline_line_sequence,
-    random_clique_merge_sequence,
-    random_line_sequence,
-    sequential_line_sequence,
-    tenant_clique_sequence,
 )
 from repro.minla import (
     closest_feasible_arrangement,
     exact_minla_arrangement,
     exact_minla_value,
-    heuristic_minla,
     is_minla_of_cliques,
     is_minla_of_lines,
     linear_arrangement_cost,
@@ -118,6 +110,15 @@ from repro.workloads import (
     all_scenarios,
     get_scenario,
     scenario_names,
+)
+from repro.workloads.generation import (
+    balanced_clique_merge_sequence,
+    growing_clique_sequence,
+    pipeline_line_sequence,
+    random_clique_merge_sequence,
+    random_line_sequence,
+    sequential_line_sequence,
+    tenant_clique_sequence,
 )
 
 __version__ = "1.1.0"
@@ -187,7 +188,6 @@ __all__ = [
     "get_scenario",
     "growing_clique_sequence",
     "harmonic_number",
-    "heuristic_minla",
     "is_minla_of_cliques",
     "is_minla_of_lines",
     "linear_arrangement_cost",

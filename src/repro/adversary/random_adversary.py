@@ -29,8 +29,8 @@ from repro.core.instance import OnlineMinLAInstance
 from repro.core.opt import offline_optimum_bounds
 from repro.core.simulator import run_trials
 from repro.errors import ReproError
-from repro.graphs.generators import random_clique_merge_sequence, random_line_sequence
 from repro.graphs.reveal import GraphKind
+from repro.workloads.generation import random_clique_merge_sequence, random_line_sequence
 
 
 @dataclass(frozen=True)

@@ -121,8 +121,8 @@ from repro.core.rand_lines import (
 from repro.core.simulator import run_trials
 from repro.errors import ReproError
 from repro.experiments import suite as experiments_suite
-from repro.graphs.generators import random_clique_merge_sequence, random_line_sequence
 from repro.graphs.reveal import GraphKind
+from repro.workloads.generation import random_clique_merge_sequence, random_line_sequence
 
 AlgorithmFactory = Callable[[], OnlineMinLAAlgorithm]
 

@@ -49,35 +49,32 @@ class KindDispatchingLearner(OnlineMinLAAlgorithm):
         initial_arrangement: Arrangement,
         rng: Optional[random.Random] = None,
     ) -> None:
-        super().reset(nodes, kind, initial_arrangement, rng)
-        self._delegate = self._implementations[kind]()
-        self._delegate.reset(nodes, kind, initial_arrangement, rng)
+        # Only the delegate keeps run state; its reset validates the instance.
+        delegate = self._implementations[kind]()
+        delegate.reset(nodes, kind, initial_arrangement, rng)
+        self._delegate = delegate
 
     def process(self, step: RevealStep) -> UpdateRecord:
-        if self._delegate is None:
-            raise ReproError("the algorithm has not been reset with an instance yet")
-        record = self._delegate.process(step)
-        # The wrapper's own arrangement properties delegate lazily, so no
-        # per-step snapshot is materialized here.
-        self._step_index += 1
-        return record
+        return self.delegate.process(step)
 
     @property
     def current_arrangement(self) -> Arrangement:
-        if self._delegate is not None:
-            return self._delegate.current_arrangement
-        return super().current_arrangement
+        return self.delegate.current_arrangement
 
     def arrangement_view(self):
-        if self._delegate is not None:
-            return self._delegate.arrangement_view()
-        return super().arrangement_view()
+        return self.delegate.arrangement_view()
+
+    @property
+    def initial_arrangement(self) -> Arrangement:
+        return self.delegate.initial_arrangement
 
     @property
     def forest(self) -> Forest:
-        if self._delegate is not None:
-            return self._delegate.forest
-        return super().forest
+        return self.delegate.forest
+
+    @property
+    def kind(self) -> GraphKind:
+        return self.delegate.kind
 
     @property
     def delegate(self) -> OnlineMinLAAlgorithm:

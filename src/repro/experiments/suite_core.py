@@ -50,7 +50,7 @@ from repro.experiments.runner import (
     seeded_rng,
 )
 from repro.experiments.tables import ResultTable
-from repro.graphs.generators import random_clique_merge_sequence, random_line_sequence
+from repro.workloads.generation import random_clique_merge_sequence, random_line_sequence
 
 
 def _safe_ratio(cost: float, denominator: float) -> float:

@@ -35,12 +35,12 @@ from repro.experiments.runner import (
     seeded_rng,
 )
 from repro.experiments.tables import ResultTable
-from repro.graphs.generators import random_clique_merge_sequence, random_line_sequence
 from repro.graphs.reveal import (
     CliqueRevealSequence,
     LineRevealSequence,
     RevealStep,
 )
+from repro.workloads.generation import random_clique_merge_sequence, random_line_sequence
 
 
 # ----------------------------------------------------------------------

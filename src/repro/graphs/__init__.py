@@ -1,16 +1,7 @@
-"""Graph substrates: component tracking, reveal sequences and workload generators."""
+"""Graph substrates: component tracking and reveal sequences."""
 
 from repro.graphs.clique_forest import CliqueForest, MergeRecord
 from repro.graphs.components import DisjointSetForest
-from repro.graphs.generators import (
-    balanced_clique_merge_sequence,
-    growing_clique_sequence,
-    pipeline_line_sequence,
-    random_clique_merge_sequence,
-    random_line_sequence,
-    sequential_line_sequence,
-    tenant_clique_sequence,
-)
 from repro.graphs.line_forest import LineForest, LineMergeRecord
 from repro.graphs.reveal import (
     CliqueRevealSequence,
@@ -31,11 +22,4 @@ __all__ = [
     "MergeRecord",
     "RevealSequence",
     "RevealStep",
-    "balanced_clique_merge_sequence",
-    "growing_clique_sequence",
-    "pipeline_line_sequence",
-    "random_clique_merge_sequence",
-    "random_line_sequence",
-    "sequential_line_sequence",
-    "tenant_clique_sequence",
 ]

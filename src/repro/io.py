@@ -19,7 +19,7 @@ and a trace's totals must match its ledger — a hand-edited or corrupted
 results file fails loudly instead of skewing a comparison.
 
 Node labels must themselves be JSON-representable (integers or strings); the
-generators in :mod:`repro.graphs.generators` use integers, and the virtual
+generators in :mod:`repro.workloads.generation` use integers, and the virtual
 network case study uses integers or short strings, so this covers every
 object the library creates.  Round-tripping is validated in the test suite.
 """

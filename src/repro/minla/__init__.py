@@ -1,4 +1,4 @@
-"""Offline MinLA substrate: cost, characterizations, exact and heuristic solvers."""
+"""Offline MinLA substrate: cost, characterizations, the closest-arrangement and exact solvers."""
 
 from repro.minla.characterizations import (
     is_minla_of_cliques,
@@ -28,12 +28,6 @@ from repro.minla.exact import (
     exact_minla_arrangement,
     exact_minla_value,
 )
-from repro.minla.heuristics import (
-    greedy_insertion_arrangement,
-    heuristic_minla,
-    local_search_refinement,
-    spectral_arrangement,
-)
 
 __all__ = [
     "Block",
@@ -46,18 +40,14 @@ __all__ = [
     "closest_feasible_arrangement",
     "exact_minla_arrangement",
     "exact_minla_value",
-    "greedy_insertion_arrangement",
-    "heuristic_minla",
     "is_minla_of_cliques",
     "is_minla_of_forest",
     "is_minla_of_lines",
     "is_path_ordered",
     "linear_arrangement_cost",
-    "local_search_refinement",
     "optimal_clique_collection_cost",
     "optimal_clique_cost",
     "optimal_line_collection_cost",
     "optimal_path_cost",
     "optimal_value_of_forest",
-    "spectral_arrangement",
 ]

@@ -6,8 +6,6 @@ is used as ground truth:
 
 * the MinLA characterizations for cliques and lines
   (:mod:`repro.minla.characterizations`) are validated against it,
-* the general-graph heuristics (:mod:`repro.minla.heuristics`) are measured
-  against it in the tests,
 * the exact offline optimum of the *online* problem for tiny instances
   (:func:`repro.core.opt.exact_optimal_online_cost`) enumerates MinLA
   permutations produced by this module.

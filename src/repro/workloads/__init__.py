@@ -11,9 +11,8 @@ both patterns.  This package makes such workloads first-class:
   heavy-tailed, single-component),
 * :mod:`repro.workloads.orders` — merge-order policies (uniform, Zipf,
   bursty, sequential),
-* :mod:`repro.workloads.generation` — the single implementation behind
-  every reveal-sequence generator (``repro.graphs.generators`` is a thin
-  adapter over it),
+* :mod:`repro.workloads.generation` — the single implementation of every
+  reveal-sequence generator,
 * :mod:`repro.workloads.streaming` — lazy request generation behind
   ``repro.vnet.traffic`` and the datacenter-scale E12 experiment,
 * :mod:`repro.workloads.registry` — the named catalog behind

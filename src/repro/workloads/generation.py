@@ -1,9 +1,8 @@
 """Reveal-sequence generation: the single implementation behind every workload.
 
-This module owns the generators that used to live in
-:mod:`repro.graphs.generators` (which is now a thin adapter re-exporting
-them), plus the composable fleet builder the scenario registry is built on.
-The moved functions are **behaviour-identical** to their previous versions —
+This module owns the reveal-sequence generators (``repro`` re-exports
+them) and the composable fleet builder the scenario registry is built on.
+The generators are **behaviour-identical** to their pre-subsystem versions —
 same signatures, same order of :class:`random.Random` draws — so every
 seeded workload of experiments E1–E10 is bit-identical to what it was before
 the workloads subsystem existed (guarded by golden fingerprint tests).

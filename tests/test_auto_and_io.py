@@ -6,11 +6,13 @@ import pytest
 
 from repro.core.auto import AutoRandomizedLearner, KindDispatchingLearner
 from repro.core.instance import OnlineMinLAInstance
+from repro.core.permutation import MutableArrangement
 from repro.core.rand_cliques import RandomizedCliqueLearner
 from repro.core.rand_lines import RandomizedLineLearner
 from repro.core.simulator import run_online
 from repro.errors import ReproError
-from repro.graphs.generators import random_clique_merge_sequence, random_line_sequence
+from repro.graphs.clique_forest import CliqueForest
+from repro.graphs.line_forest import LineForest
 from repro.graphs.reveal import GraphKind, RevealStep
 from repro.io import (
     instance_from_dict,
@@ -25,6 +27,7 @@ from repro.io import (
     sequence_from_dict,
     sequence_to_dict,
 )
+from repro.workloads.generation import random_clique_merge_sequence, random_line_sequence
 
 
 class TestKindDispatchingLearner:
@@ -62,12 +65,48 @@ class TestKindDispatchingLearner:
         assert learner.forest is learner.delegate.forest
         assert learner.forest.num_components == 1
 
+    @pytest.mark.parametrize(
+        "generate", [random_clique_merge_sequence, random_line_sequence]
+    )
+    def test_reset_builds_one_arrangement_and_one_forest(self, generate, monkeypatch):
+        rng = random.Random(3)
+        instance = OnlineMinLAInstance.with_random_start(generate(8, rng), rng)
+        learner = AutoRandomizedLearner()
+        built = []
+        for cls in (MutableArrangement, CliqueForest, LineForest):
+            def counting_init(self, *args, _init=cls.__init__, _name=cls.__name__):
+                built.append(_name)
+                _init(self, *args)
+
+            monkeypatch.setattr(cls, "__init__", counting_init)
+        learner.reset(
+            instance.nodes, instance.kind, instance.initial_arrangement, random.Random(1)
+        )
+        forest = "CliqueForest" if instance.kind is GraphKind.CLIQUES else "LineForest"
+        assert sorted(built) == sorted(["MutableArrangement", forest])
+        assert learner.kind is instance.kind
+        assert learner.initial_arrangement == instance.initial_arrangement
+
     def test_delegate_before_reset_rejected(self):
         learner = AutoRandomizedLearner()
-        with pytest.raises(ReproError):
-            _ = learner.delegate
+        for read in ("delegate", "kind", "initial_arrangement", "forest", "current_arrangement"):
+            with pytest.raises(ReproError):
+                getattr(learner, read)
         with pytest.raises(ReproError):
             learner.process(RevealStep(0, 1))
+
+    def test_mismatched_initial_arrangement_rejected(self):
+        rng = random.Random(5)
+        instance = OnlineMinLAInstance.with_random_start(
+            random_clique_merge_sequence(6, rng), rng
+        )
+        learner = AutoRandomizedLearner()
+        with pytest.raises(ReproError, match="node universe"):
+            learner.reset(
+                instance.nodes[:-1], instance.kind, instance.initial_arrangement
+            )
+        with pytest.raises(ReproError):
+            _ = learner.delegate
 
     def test_incomplete_implementation_map_rejected(self):
         with pytest.raises(ReproError):

@@ -10,13 +10,13 @@ from repro.core.instance import OnlineMinLAInstance
 from repro.core.opt import offline_optimum_bounds
 from repro.core.permutation import Arrangement
 from repro.core.simulator import run_online
-from repro.graphs.generators import (
+from repro.graphs.reveal import CliqueRevealSequence, LineRevealSequence
+from repro.minla.closest import blocks_from_forest, closest_feasible_arrangement
+from repro.workloads.generation import (
     growing_clique_sequence,
     random_clique_merge_sequence,
     random_line_sequence,
 )
-from repro.graphs.reveal import CliqueRevealSequence, LineRevealSequence
-from repro.minla.closest import blocks_from_forest, closest_feasible_arrangement
 
 
 class TestDetBehaviour:

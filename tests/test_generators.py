@@ -5,7 +5,8 @@ import random
 import pytest
 
 from repro.errors import ReproError
-from repro.graphs.generators import (
+from repro.graphs.reveal import GraphKind
+from repro.workloads.generation import (
     balanced_clique_merge_sequence,
     growing_clique_sequence,
     pipeline_line_sequence,
@@ -14,7 +15,6 @@ from repro.graphs.generators import (
     sequential_line_sequence,
     tenant_clique_sequence,
 )
-from repro.graphs.reveal import GraphKind
 
 
 class TestCliqueGenerators:

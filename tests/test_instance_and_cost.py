@@ -8,8 +8,8 @@ from repro.core.cost import CostLedger, SimulationResult, UpdateRecord
 from repro.core.instance import OnlineMinLAInstance
 from repro.core.permutation import Arrangement
 from repro.errors import ReproError
-from repro.graphs.generators import random_clique_merge_sequence
 from repro.graphs.reveal import GraphKind, LineRevealSequence, RevealStep
+from repro.workloads.generation import random_clique_merge_sequence
 
 
 class TestOnlineMinLAInstance:

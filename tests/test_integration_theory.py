@@ -29,7 +29,7 @@ from repro.core.permutation import random_arrangement
 from repro.core.rand_cliques import RandomizedCliqueLearner
 from repro.core.rand_lines import RandomizedLineLearner
 from repro.core.simulator import run_online, run_trials
-from repro.graphs.generators import (
+from repro.workloads.generation import (
     growing_clique_sequence,
     random_clique_merge_sequence,
     random_line_sequence,

@@ -26,7 +26,7 @@ from repro.core.rand_cliques import RandomizedCliqueLearner
 from repro.core.rand_lines import RandomizedLineLearner, forward_layout_cost
 from repro.core.simulator import run_online
 from repro.errors import ArrangementError
-from repro.graphs.generators import random_clique_merge_sequence, random_line_sequence
+from repro.workloads.generation import random_clique_merge_sequence, random_line_sequence
 
 
 def _random_disjoint_spans(rng: random.Random, n: int):

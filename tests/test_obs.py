@@ -478,7 +478,7 @@ class TestAggregationIdentity:
         from repro.core.instance import OnlineMinLAInstance
         from repro.core.rand_cliques import RandomizedCliqueLearner
         from repro.experiments.parallel import run_trials_parallel
-        from repro.graphs.generators import random_clique_merge_sequence
+        from repro.workloads.generation import random_clique_merge_sequence
 
         rng = random.Random(0)
         sequence = random_clique_merge_sequence(16, rng)

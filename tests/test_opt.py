@@ -14,9 +14,9 @@ from repro.core.opt import (
 from repro.core.permutation import Arrangement, random_arrangement
 from repro.errors import SolverError
 from repro.graphs.clique_forest import CliqueForest
-from repro.graphs.generators import random_clique_merge_sequence, random_line_sequence
 from repro.graphs.reveal import CliqueRevealSequence, LineRevealSequence
 from repro.minla.characterizations import is_minla_of_forest
+from repro.workloads.generation import random_clique_merge_sequence, random_line_sequence
 
 
 def _laminar_family(forest):

@@ -1,5 +1,6 @@
 """Tests for the package surface: exception hierarchy, public exports, metadata."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -137,6 +138,36 @@ class TestPublicExports:
 REPOSITORY_ROOT = Path(__file__).resolve().parent.parent
 
 
+def _imported_modules(path: Path, package: str):
+    """Every module one source file imports, relative imports resolved."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                base = package.split(".")[: len(package.split(".")) - node.level + 1]
+                yield ".".join(base + ([node.module] if node.module else []))
+            else:
+                yield node.module
+
+
+class TestLayering:
+    def test_graphs_imports_only_itself_and_errors(self):
+        # The graph substrates sit below every other package: workload
+        # generation builds on them, never the other way round.
+        sources = sorted((REPOSITORY_ROOT / "src" / "repro" / "graphs").glob("*.py"))
+        assert len(sources) >= 5
+        outside = sorted(
+            f"{path.name}: {module}"
+            for path in sources
+            for module in _imported_modules(path, "repro.graphs")
+            if module.split(".")[0] == "repro"
+            and module != "repro.errors"
+            and not (module == "repro.graphs" or module.startswith("repro.graphs."))
+        )
+        assert outside == []
+
+
 def _run_python(*args: str) -> str:
     """Run a fresh interpreter in the repository root on the checked-out sources."""
     completed = subprocess.run(
@@ -160,7 +191,7 @@ class TestLazyDependencies:
             from repro.core.instance import OnlineMinLAInstance
             from repro.core.rand_lines import RandomizedLineLearner
             from repro.core.simulator import run_online
-            from repro.graphs.generators import random_line_sequence
+            from repro.workloads.generation import random_line_sequence
             from repro.service import run_scenario_loadgen
             from repro.workloads.registry import get_scenario
 
@@ -181,8 +212,8 @@ class TestLazyDependencies:
         assert _run_python("-c", code).split() == ["False"]
 
     def test_importing_repro_never_imports_numpy(self):
-        # numpy serves only the spectral MinLA heuristic, which imports it
-        # when it runs; the package and its learners must not.
+        # The package is pure Python and depends on networkx alone; no
+        # module, learner or solver may pull numpy back in.
         code = textwrap.dedent(
             """
             import sys

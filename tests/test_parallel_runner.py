@@ -22,7 +22,7 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.runner import ExperimentScale
 from repro.experiments.suite import run_all
-from repro.graphs.generators import random_clique_merge_sequence, random_line_sequence
+from repro.workloads.generation import random_clique_merge_sequence, random_line_sequence
 
 
 def _fingerprint(results):

@@ -18,7 +18,6 @@ from repro.core.simulator import run_trials
 from repro.errors import ObsError
 from repro.experiments.runner import ExperimentScale
 from repro.experiments.suite import run_all
-from repro.graphs.generators import random_clique_merge_sequence
 from repro.obs.clock import ManualClock, set_clock
 from repro.obs.profile import (
     ProfileSnapshot,
@@ -34,6 +33,7 @@ from repro.obs.profile import (
     work_snapshot,
 )
 from repro.service import run_scenario_loadgen
+from repro.workloads.generation import random_clique_merge_sequence
 from repro.workloads.registry import get_scenario
 
 

@@ -20,8 +20,8 @@ from repro.core.permutation import random_arrangement
 from repro.core.rand_cliques import RandomizedCliqueLearner
 from repro.core.rand_lines import RandomizedLineLearner
 from repro.core.simulator import run_online
-from repro.graphs.generators import random_clique_merge_sequence, random_line_sequence
 from repro.minla.closest import blocks_from_forest, closest_feasible_arrangement
+from repro.workloads.generation import random_clique_merge_sequence, random_line_sequence
 
 
 clique_instance_params = st.tuples(

@@ -6,20 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.instance import OnlineMinLAInstance
-from repro.graphs.generators import (
-    balanced_clique_merge_sequence,
-    growing_clique_sequence,
-    pipeline_line_sequence,
-    random_clique_merge_sequence,
-    random_line_sequence,
-    tenant_clique_sequence,
-)
 from repro.graphs.reveal import GraphKind
 from repro.io import (
     instance_from_dict,
     instance_to_dict,
     sequence_from_dict,
     sequence_to_dict,
+)
+from repro.workloads.generation import (
+    balanced_clique_merge_sequence,
+    growing_clique_sequence,
+    pipeline_line_sequence,
+    random_clique_merge_sequence,
+    random_line_sequence,
+    tenant_clique_sequence,
 )
 
 

@@ -29,11 +29,11 @@ from repro.core.rand_lines import RandomizedLineLearner
 from repro.core.simulator import run_online
 from repro.errors import ArrangementError, InfeasibleArrangementError, ReproError
 from repro.graphs.clique_forest import CliqueForest
-from repro.graphs.generators import random_clique_merge_sequence, random_line_sequence
 from repro.graphs.line_forest import LineForest
 from repro.graphs.reveal import RevealStep
 from repro.minla.characterizations import IncrementalStepVerifier, is_minla_of_forest
 from repro.obs.profile import count_work, work_snapshot
+from repro.workloads.generation import random_clique_merge_sequence, random_line_sequence
 
 UNIVERSE_CHANGED = "the node universe changed during an update"
 

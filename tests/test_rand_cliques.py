@@ -13,8 +13,8 @@ from repro.core.rand_cliques import (
 )
 from repro.core.simulator import run_online, run_trials
 from repro.errors import ReproError
-from repro.graphs.generators import random_clique_merge_sequence
 from repro.graphs.reveal import CliqueRevealSequence, GraphKind, LineRevealSequence
+from repro.workloads.generation import random_clique_merge_sequence
 
 
 def figure1_instance(size_x=3, gap=4, size_z=2):

@@ -12,8 +12,8 @@ from repro.core.rand_lines import (
 )
 from repro.core.simulator import run_online, run_trials
 from repro.errors import ReproError
-from repro.graphs.generators import random_line_sequence
 from repro.graphs.reveal import CliqueRevealSequence, LineRevealSequence
+from repro.workloads.generation import random_line_sequence
 
 
 def figure2_instance(size_x=3, size_z=2):

@@ -20,10 +20,10 @@ from repro.core.permutation import Arrangement
 from repro.core.rand_cliques import RandomizedCliqueLearner
 from repro.core.rand_lines import RandomizedLineLearner
 from repro.core.simulator import run_online
-from repro.graphs.generators import random_clique_merge_sequence, random_line_sequence
 from repro.graphs.reveal import CliqueRevealSequence, LineRevealSequence
 from repro.minla.exact import exact_minla_value
 from repro.obs.profile import work_delta, work_snapshot
+from repro.workloads.generation import random_clique_merge_sequence, random_line_sequence
 from repro.workloads.registry import get_scenario
 
 

@@ -20,7 +20,7 @@ from repro.core.rand_cliques import RandomizedCliqueLearner
 from repro.core.rand_lines import RandomizedLineLearner
 from repro.core.simulator import run_online, run_trials
 from repro.errors import ReproError
-from repro.graphs.generators import (
+from repro.workloads.generation import (
     balanced_clique_merge_sequence,
     growing_clique_sequence,
     random_clique_merge_sequence,

@@ -13,8 +13,8 @@ from repro.core.rand_lines import RandomizedLineLearner
 from repro.core.simulator import expected_cost, run_online, run_trials
 from repro.errors import InfeasibleArrangementError, ReproError
 from repro.graphs.clique_forest import CliqueForest
-from repro.graphs.generators import random_clique_merge_sequence, random_line_sequence
 from repro.graphs.reveal import GraphKind, RevealStep
+from repro.workloads.generation import random_clique_merge_sequence, random_line_sequence
 
 
 class DoNothingAlgorithm(OnlineMinLAAlgorithm):

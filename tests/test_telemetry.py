@@ -20,7 +20,6 @@ from repro.core.rand_cliques import RandomizedCliqueLearner
 from repro.core.rand_lines import RandomizedLineLearner
 from repro.core.simulator import run_online
 from repro.errors import ReproError
-from repro.graphs.generators import random_clique_merge_sequence, random_line_sequence
 from repro.io import result_from_dict, result_to_dict, trace_from_dict, trace_to_dict
 from repro.telemetry import (
     TraceRecorder,
@@ -28,6 +27,7 @@ from repro.telemetry import (
     count_inversions,
     downsample_events,
 )
+from repro.workloads.generation import random_clique_merge_sequence, random_line_sequence
 
 
 def _quadratic_count(values):

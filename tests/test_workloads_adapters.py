@@ -1,9 +1,10 @@
-"""Adapter-equivalence guards: generators and traffic are bit-identical.
+"""Equivalence guards: generators and traffic are bit-identical.
 
-``repro.graphs.generators`` and ``repro.vnet.traffic`` are thin adapters
-over ``repro.workloads``; the fingerprints pinned here were captured from
-the pre-subsystem implementations, so every seeded workload of experiments
-E1–E10 is provably unchanged by the refactor.  Any intentional change to a
+``repro.workloads.generation`` holds the reveal-sequence generators and
+``repro.vnet.traffic`` is a thin adapter over ``repro.workloads``; the
+fingerprints pinned here were captured from the pre-subsystem
+implementations, so every seeded workload of experiments E1–E10 is
+provably unchanged by the refactor.  Any intentional change to a
 generator's draw order must bump these values **and** invalidates archived
 results — treat a mismatch as a regression first.
 """
@@ -14,7 +15,8 @@ import random
 import pytest
 
 from repro.dynamic_minla import requests_from_line_pattern
-from repro.graphs.generators import (
+from repro.vnet.traffic import pipeline_traffic, tenant_traffic
+from repro.workloads.generation import (
     balanced_clique_merge_sequence,
     growing_clique_sequence,
     pipeline_line_sequence,
@@ -23,7 +25,6 @@ from repro.graphs.generators import (
     sequential_line_sequence,
     tenant_clique_sequence,
 )
-from repro.vnet.traffic import pipeline_traffic, tenant_traffic
 from repro.workloads.registry import get_scenario
 
 
