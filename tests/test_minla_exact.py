@@ -4,7 +4,13 @@ import networkx as nx
 import pytest
 
 from repro.errors import SolverError
-from repro.minla.cost import linear_arrangement_cost, optimal_clique_cost, optimal_path_cost
+from repro.minla.cost import (
+    linear_arrangement_cost,
+    optimal_clique_collection_cost,
+    optimal_clique_cost,
+    optimal_line_collection_cost,
+    optimal_path_cost,
+)
 from repro.minla.exact import (
     all_minla_arrangements,
     exact_minla_arrangement,
@@ -76,3 +82,48 @@ class TestAllMinLAArrangements:
     def test_size_guard(self):
         with pytest.raises(SolverError):
             all_minla_arrangements(nx.path_graph(9))
+
+
+def _disjoint_union(make, sizes):
+    return nx.disjoint_union_all([make(size) for size in sizes])
+
+
+class TestClosedFormAgreement:
+    """The brute-force oracle against the paper's closed forms and itself."""
+
+    @pytest.mark.parametrize("sizes", [(2, 3), (1, 2, 3), (3, 3), (2, 2, 2), (4, 3)])
+    def test_disjoint_cliques_match_closed_form(self, sizes):
+        graph = _disjoint_union(nx.complete_graph, sizes)
+        assert exact_minla_value(graph) == optimal_clique_collection_cost(sizes)
+
+    @pytest.mark.parametrize("sizes", [(2, 3), (1, 2, 3), (4, 3), (2, 2, 2), (5,)])
+    def test_disjoint_lines_match_closed_form(self, sizes):
+        graph = _disjoint_union(nx.path_graph, sizes)
+        assert exact_minla_value(graph) == optimal_line_collection_cost(sizes)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mirror_shortcut_matches_full_search(self, seed):
+        # exact_minla_value skips mirrored permutations; the arrangement
+        # search enumerates them all, so both must find the same optimum.
+        graph = nx.gnp_random_graph(7, 0.4, seed=seed)
+        arrangement, value = exact_minla_arrangement(graph)
+        assert exact_minla_value(graph) == value
+        assert linear_arrangement_cost(arrangement, graph) == value
+
+    def test_optimal_set_is_closed_under_mirroring(self):
+        graph = nx.Graph([(0, 1), (1, 2), (1, 3), (3, 4)])
+        optimal = all_minla_arrangements(graph)
+        orders = {arrangement.order for arrangement in optimal}
+        value = exact_minla_value(graph)
+        assert orders
+        assert all(order[::-1] in orders for order in orders)
+        assert all(linear_arrangement_cost(a, graph) == value for a in optimal)
+
+    def test_lowered_node_limit_is_enforced(self):
+        with pytest.raises(SolverError):
+            exact_minla_value(nx.path_graph(5), max_nodes=4)
+        with pytest.raises(SolverError):
+            exact_minla_arrangement(nx.path_graph(5), max_nodes=4)
+        with pytest.raises(SolverError):
+            all_minla_arrangements(nx.path_graph(4), max_nodes=3)
+        assert exact_minla_value(nx.path_graph(4), max_nodes=4) == 3
